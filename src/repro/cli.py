@@ -59,25 +59,22 @@ Commands
     multi-core suite table, or the ``frontier`` accuracy-vs-cost
     Pareto sweep over the whole policy zoo.
 ``bench [--suite hotpath|checkpoint|frontier|megablock] [--size S[,S]]
-[--benchmarks a,b]
-[--check] [--update-baseline] [--baseline FILE] [--out FILE]
+[--benchmarks a,b] [--repeats N]
+[--check | --update-baseline] [--baseline FILE] [--out FILE]
 [--tolerance F] [--record-history] [--history FILE] [--json]``
-    Performance benchmarks backing the CI perf gates.  ``hotpath``
-    (default): fused fast path vs the ``REPRO_SLOW_PATH=1``
-    interpreter oracle, per mode and suite size, gated against
-    ``benchmarks/BENCH_hotpath.json``.  ``checkpoint``: warm-vs-cold
-    checkpoint-store wall clock of the SimPoint policies, gated
-    against ``benchmarks/BENCH_checkpoint.json`` (absolute floors:
-    restore-policy geomean speedup and delta-snapshot ratio).
+    Performance benchmarks backing the CI perf gates, one entry each
+    in ``repro.harness.bench.SUITES``.  ``hotpath`` (default): fused
+    fast path vs the ``REPRO_SLOW_PATH=1`` interpreter oracle, per
+    mode and suite size.  ``checkpoint``: warm-vs-cold
+    checkpoint-store wall clock of the SimPoint policies (absolute
+    floors: restore-policy geomean speedup and delta-snapshot ratio).
     ``frontier``: modeled accuracy-vs-cost sweep over the whole
-    policy zoo, gated against ``benchmarks/BENCH_frontier.json``
-    (absolute floor: policy coverage; per-policy speedup and
-    accuracy-drift tolerances).  ``megablock``: chained-dispatch
-    megablock tier vs the fused tier on the loop-dominated suite,
-    gated against ``benchmarks/BENCH_megablock.json`` (absolute
-    floor: overall speedup geomean).
-    ``--check`` fails on a >25% ratio regression vs the committed
-    baseline; ``--update-baseline`` rewrites that file.
+    policy zoo (absolute floor: policy coverage; per-policy
+    accuracy-drift bound).  ``megablock``: chained-dispatch megablock
+    tier vs the fused tier on the loop-dominated suite (absolute
+    floor: overall speedup geomean).  Each is gated against its
+    committed ``benchmarks/BENCH_<suite>.json``: ``--check`` fails on
+    a >25% ratio regression; ``--update-baseline`` rewrites the file.
     ``--record-history`` appends this run's ratio metrics as a dated
     entry to ``benchmarks/HISTORY.jsonl``; with ``--check`` the gate
     also compares against the rolling median of the recorded
@@ -436,83 +433,50 @@ def _cmd_figure(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    benchmarks = (args.benchmarks.split(",") if args.benchmarks
-                  else None)
-    if args.suite == "checkpoint":
-        from repro.harness import checkpointbench as module
-        size = args.size or module.DEFAULT_SIZE
-        baseline_path = args.baseline or module.DEFAULT_BASELINE
-        payload = module.run_bench(benchmarks=benchmarks,
-                                   size=size.split(",")[0],
-                                   repeats=args.repeats
-                                   or module.DEFAULT_REPEATS)
-    elif args.suite == "frontier":
-        from repro.harness import frontier as module
-        size = args.size or module.DEFAULT_SIZE
-        baseline_path = args.baseline or module.DEFAULT_BASELINE
-        payload = module.run_bench(benchmarks=benchmarks,
-                                   size=size.split(",")[0])
-    elif args.suite == "megablock":
-        from repro.harness import megablock as module
-        sizes = [size for size
-                 in (args.size or module.DEFAULT_SIZE).split(",")
-                 if size]
-        baseline_path = args.baseline or module.DEFAULT_BASELINE
-        payload = module.run_bench(
-            sizes=sizes, benchmarks=benchmarks,
-            repeats=args.repeats or module.DEFAULT_REPEATS)
-    else:
-        from repro.harness import hotpath as module
-        sizes = [size for size in (args.size or "tiny").split(",")
-                 if size]
-        baseline_path = args.baseline or module.DEFAULT_BASELINE
-        payload = module.run_bench(sizes=sizes, benchmarks=benchmarks)
+    from repro.harness import bench, history
+    payload = bench.run_bench(
+        args.suite, sizes=[size for size in args.size.split(",") if size],
+        benchmarks=[name for name in args.benchmarks.split(",") if name],
+        repeats=args.repeats or 0)
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
-        print(module.format_table(payload))
+        print(bench.format_table(args.suite, payload))
     if args.out:
-        module.write_baseline(payload, args.out)
+        bench.write_baseline(payload, args.out)
         print(f"wrote {args.out}", file=sys.stderr)
-    from repro.harness import history
     history_path = args.history or history.DEFAULT_HISTORY
-    recorded = None
+    entries = history.load_history(history_path)
+    entries.append(history.make_entry(args.suite, payload))
     if args.record_history:
-        recorded = history.make_entry(args.suite, payload)
-        count = history.append_history(history_path, recorded)
+        count = history.append_history(history_path, entries[-1])
         print(f"history: entry {count} appended to {history_path}",
               file=sys.stderr)
+    baseline_path = args.baseline or bench.SUITES[args.suite].baseline
     if args.update_baseline:
-        module.write_baseline(payload, baseline_path)
+        bench.write_baseline(payload, baseline_path)
         print(f"baseline updated: {baseline_path}", file=sys.stderr)
+    if not args.check:
         return 0
-    if args.check:
-        try:
-            baseline = module.load_baseline(baseline_path)
-        except FileNotFoundError:
-            print(f"no baseline at {baseline_path}; run with "
-                  "--update-baseline first", file=sys.stderr)
-            return 2
-        problems = module.compare_to_baseline(
-            payload, baseline, tolerance=args.tolerance)
-        # trajectory gate: this run vs the rolling median of the
-        # recorded history (appended in-memory when --record-history
-        # didn't already persist it)
-        entries = history.load_history(history_path)
-        if recorded is None:
-            entries.append(history.make_entry(args.suite, payload))
-        problems += [
-            f"trajectory {problem}" for problem in
-            history.detect_regressions(entries, suite=args.suite,
-                                       tolerance=args.tolerance)]
-        if problems:
-            print("perf gate FAILED:", file=sys.stderr)
-            for problem in problems:
-                print(f"  {problem}", file=sys.stderr)
-            return 1
-        print("perf gate passed (speedup ratios within "
-              f"{args.tolerance:.0%} of baseline and of the "
-              "rolling history median)", file=sys.stderr)
+    try:
+        baseline = bench.load_baseline(baseline_path)
+    except FileNotFoundError:
+        print(f"no baseline at {baseline_path}; run with "
+              "--update-baseline first", file=sys.stderr)
+        return 2
+    problems = bench.compare_to_baseline(args.suite, payload, baseline,
+                                         tolerance=args.tolerance)
+    # trajectory gate: this run vs the rolling median of the history
+    problems += [f"trajectory {problem}" for problem in
+                 history.detect_regressions(entries, suite=args.suite,
+                                            tolerance=args.tolerance)]
+    if problems:
+        print("perf gate FAILED:", file=sys.stderr)
+        for problem in problems:
+            print(f"  {problem}", file=sys.stderr)
+        return 1
+    print(f"perf gate passed (within {args.tolerance:.0%} of the baseline "
+          "and of the rolling history median)", file=sys.stderr)
     return 0
 
 
@@ -826,21 +790,22 @@ def main(argv=None) -> int:
                                    "megablock: chained-dispatch tier "
                                    "vs the fused tier")
     bench_parser.add_argument("--size", default="",
-                              help="suite size(s); default tiny "
-                                   "(hotpath, comma-separated), "
+                              help="suite size(s), comma-separated; "
+                                   "default tiny (hotpath, frontier), "
                                    "small (megablock) or paper "
                                    "(checkpoint)")
     bench_parser.add_argument("--benchmarks", default="",
                               help="comma-separated benchmark subset")
     bench_parser.add_argument("--repeats", type=int, default=None,
-                              help="checkpoint/megablock suites: "
-                                   "probes per cell (best-of-N)")
-    bench_parser.add_argument("--check", action="store_true",
-                              help="compare against the committed "
-                                   "baseline; exit 1 on regression")
-    bench_parser.add_argument("--update-baseline", action="store_true",
-                              help="rewrite the committed baseline "
-                                   "from this run")
+                              help="wall-clock suites: probes per cell "
+                                   "(best-of-N)")
+    gate_mode = bench_parser.add_mutually_exclusive_group()
+    gate_mode.add_argument("--check", action="store_true",
+                           help="compare against the committed "
+                                "baseline; exit 1 on regression")
+    gate_mode.add_argument("--update-baseline", action="store_true",
+                           help="rewrite the committed baseline "
+                                "from this run")
     bench_parser.add_argument("--baseline", default="",
                               help="baseline JSON path (default: the "
                                    "suite's committed benchmarks/ "

@@ -355,6 +355,117 @@ def build_figure9(size: str = "small",
 
 
 # ----------------------------------------------------------------------
+# accuracy-vs-cost frontier over the whole policy zoo (not in the paper)
+
+#: the sequential tiny-suite members the frontier sweeps (fast but
+#: diverse: integer compression, pointer chasing, dense FP, neural
+#: simulation)
+FRONTIER_BENCHMARKS = ("gzip", "mcf", "swim", "art")
+
+#: paper baselines + named Dynamic Sampling points + the statistical
+#: zoo at several budget settings
+FRONTIER_POLICIES = (
+    "smarts",
+    "simpoint",
+    "simpoint+prof",
+    "simpoint-mav",
+    "CPU-300-1M-inf",
+    "EXC-300-1M-10",
+    "stratified-6",
+    "stratified-12",
+    "stratified-24",
+    "rankedset-3",
+    "rankedset-6",
+)
+
+
+def sweep_policies(policies: Optional[Sequence[str]] = None,
+                   benchmarks: Optional[Sequence[str]] = None,
+                   size: str = "tiny") -> Dict[str, Dict]:
+    """Per-policy frontier numbers: mean error, suite speedup, cost.
+
+    One grid fetch through the experiment engine (parallel with
+    ``REPRO_JOBS``); the full-timing reference is fetched alongside.
+    Every number is modeled — error against full timing, cost from the
+    paper's per-mode MIPS over exact instruction counts — so the sweep
+    is bit-deterministic for a given tree.
+    """
+    policies = list(policies or FRONTIER_POLICIES)
+    benchmarks = list(benchmarks or FRONTIER_BENCHMARKS)
+    wanted = list(dict.fromkeys(policies + ["full"]))
+    grid = fetch_results(wanted, benchmarks, size=size)
+    full = {name: grid[(name, "full")] for name in benchmarks}
+    full_seconds = sum(result.modeled_seconds for result in full.values())
+    numbers: Dict[str, Dict] = {}
+    for policy in policies:
+        results = {name: grid[(name, policy)] for name in benchmarks}
+        errors = {name: accuracy_error(results[name].ipc, full[name].ipc)
+                  for name in benchmarks}
+        seconds = sum(modeled_seconds_for(policy, results[name])
+                      for name in benchmarks)
+        entry = {
+            "error": sum(errors.values()) / len(errors),
+            "speedup": (full_seconds / seconds if seconds > 0
+                        else math.inf),
+            "seconds": seconds,
+            "timed_intervals": sum(result.timed_intervals
+                                   for result in results.values()),
+            "per_benchmark": {name: {
+                "ipc": results[name].ipc,
+                "error": errors[name],
+                "seconds": modeled_seconds_for(policy, results[name]),
+            } for name in benchmarks},
+        }
+        ci_bounds = [results[name].extra.get("ipc_ci_relative")
+                     for name in benchmarks]
+        ci_bounds = [bound for bound in ci_bounds
+                     if isinstance(bound, (int, float))]
+        if ci_bounds:
+            # ranked-set policies report a per-benchmark confidence
+            # interval; surface the worst relative half-width
+            entry["ci_relative_max"] = max(ci_bounds)
+        numbers[policy] = entry
+    return numbers
+
+
+def frontier_payload(benchmarks: Sequence[str] = FRONTIER_BENCHMARKS,
+                     size: str = "tiny",
+                     policies: Sequence[str] = FRONTIER_POLICIES) -> Dict:
+    """The swept policies, their Pareto-efficient set and a summary."""
+    policies, benchmarks = list(policies), list(benchmarks)
+    numbers = sweep_policies(policies, benchmarks, size=size)
+    points = [(policy, numbers[policy]["error"] * 100,
+               numbers[policy]["speedup"]) for policy in policies]
+    frontier = [label for label, _, _ in pareto_frontier(points)]
+    finite_errors = [numbers[p]["error"] for p in policies
+                     if math.isfinite(numbers[p]["error"])]
+    return {
+        "size": size,
+        "benchmarks": benchmarks,
+        "policies": {policy: numbers[policy] for policy in policies},
+        "frontier": frontier,
+        "summary": {
+            "num_policies": len(policies),
+            "num_frontier": len(frontier),
+            "best_error": min(finite_errors) if finite_errors else math.inf,
+            "best_speedup": max(numbers[p]["speedup"] for p in policies),
+        },
+    }
+
+
+def build_frontier(size: str = "tiny",
+                   benchmarks: Optional[Sequence[str]] = None
+                   ) -> Tuple[str, dict]:
+    """The frontier as a table plus an error-vs-speedup scatter."""
+    from .bench import format_table as bench_table
+    payload = frontier_payload(benchmarks or FRONTIER_BENCHMARKS, size)
+    points = [(policy, cell["error"] * 100, cell["speedup"])
+              for policy, cell in payload["policies"].items()]
+    return (bench_table("frontier", payload) + "\n\n"
+            + ascii_scatter(points) + "\n", payload)
+
+
+# ----------------------------------------------------------------------
 # parallel suite (multi-core guests; not in the paper)
 
 #: policies compared on the multi-threaded workloads

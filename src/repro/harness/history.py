@@ -27,6 +27,7 @@ import statistics
 import sys
 import time
 import uuid
+from fnmatch import fnmatchcase
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
@@ -46,47 +47,21 @@ SCHEMA_VERSION = 1
 def extract_metrics(suite: str, payload: Dict) -> Dict[str, float]:
     """Ratio metrics from a bench payload, flat and deterministic.
 
-    ``hotpath`` and ``megablock`` payloads contribute per-size/
-    per-mode speedup geomeans plus each size's overall geomean
-    (fast/slow and mega/fused ratios respectively); ``checkpoint``
-    payloads
-    contribute the summary's ``*_speedup_geomean`` ratios and
-    ``delta_ratio_max``; ``frontier`` payloads contribute each
-    policy's suite speedup (the error gate lives in the frontier
-    baseline comparison, not here — drift in a *modeled* ratio is a
-    behaviour change either way).  Keys are prefixed with the suite
-    name so one history file can carry all suites.
+    The suite's ``history`` globs in :data:`repro.harness.bench.SUITES`
+    pick the leaves — speedup geomeans, ``delta_ratio_max``, each
+    frontier policy's suite speedup; never absolute throughput.  A
+    metric is named ``<suite>.`` plus the path segments its glob left
+    open plus the leaf (``hotpath.tiny.timed.speedup_geomean``), so one
+    history file can carry every suite.
     """
+    from .bench import SUITES, metric_name, select
     metrics: Dict[str, float] = {}
-    if suite in ("hotpath", "megablock"):
-        # same payload shape: per-size summaries of per-mode speedup
-        # geomeans (hotpath: fast/slow; megablock: mega/fused)
-        for size in sorted(payload.get("sizes", {})):
-            summary = payload["sizes"][size].get("summary", {})
-            for mode in sorted(summary):
-                value = summary[mode]
-                if isinstance(value, dict):
-                    geo = value.get("speedup_geomean")
-                    if isinstance(geo, (int, float)):
-                        metrics[f"{suite}.{size}.{mode}"
-                                ".speedup_geomean"] = float(geo)
-                elif mode == "overall_speedup_geomean":
-                    metrics[f"{suite}.{size}.overall_speedup_geomean"] \
-                        = float(value)
-    elif suite == "checkpoint":
-        summary = payload.get("summary", {})
-        for key in sorted(summary):
-            value = summary[key]
-            if not isinstance(value, (int, float)):
-                continue
-            if key.endswith("speedup_geomean") or key == "delta_ratio_max":
-                metrics[f"checkpoint.{key}"] = float(value)
-    elif suite == "frontier":
-        for policy in sorted(payload.get("policies", {})):
-            value = payload["policies"][policy].get("speedup")
+    for pattern, _ in SUITES[suite].history:
+        for path, value in select(payload, pattern):
             if isinstance(value, (int, float)) and math.isfinite(value):
-                metrics[f"frontier.{policy}.speedup"] = float(value)
-    return metrics
+                metrics[f"{suite}.{metric_name(path, pattern)}"] = \
+                    float(value)
+    return dict(sorted(metrics.items()))
 
 
 def make_entry(suite: str, payload: Dict,
@@ -146,8 +121,14 @@ def append_history(path: Union[str, Path], entry: Dict) -> int:
     return len(entries)
 
 
-def _lower_is_better(name: str) -> bool:
-    return name.endswith("delta_ratio_max")
+def _lower_is_better(suite: str, name: str) -> bool:
+    """Whether the suite declares metric ``name`` lower-is-better."""
+    from .bench import SUITES, metric_name
+    return any(
+        fnmatchcase(name, f"{suite}." + metric_name(
+            tuple(pattern.split(".")), pattern))
+        for pattern, better in SUITES[suite].history
+        if better == "lower")
 
 
 def detect_regressions(entries: List[Dict], suite: str,
@@ -158,11 +139,11 @@ def detect_regressions(entries: List[Dict], suite: str,
 
     For each metric present in the latest ``suite`` entry, compare
     against the median of up to ``window`` preceding entries that
-    carry the same metric.  Speedup ratios regress by falling more
-    than ``tolerance`` below the median; ``delta_ratio_max`` regresses
-    by rising above it.  Returns human-readable problem strings
-    (empty = trajectory healthy); fewer than two entries is vacuously
-    healthy.
+    carry the same metric.  A metric regresses by falling more than
+    ``tolerance`` below the median or, when its suite declares it
+    lower-is-better (``delta_ratio_max``), by rising above it.
+    Returns human-readable problem strings (empty = trajectory
+    healthy); fewer than two entries is vacuously healthy.
     """
     relevant = [entry for entry in entries
                 if entry.get("suite") == suite and entry.get("metrics")]
@@ -183,7 +164,7 @@ def detect_regressions(entries: List[Dict], suite: str,
         ref = statistics.median(series)
         if ref <= 0:
             continue
-        if _lower_is_better(name):
+        if _lower_is_better(suite, name):
             if value > ref * (1.0 + tolerance):
                 problems.append(
                     f"{name}: {value:.3f} vs rolling median {ref:.3f} "

@@ -141,13 +141,18 @@ def choose_clustering(data: np.ndarray, max_k: int, seed: int = 0,
         if not candidate_ks:
             candidate_ks = [min(max_k, n)]
     results = [kmeans(data, k, seed=seed + k) for k in candidate_ks]
-    bics = np.array([result.bic for result in results])
+    # k >= n leaves the model no residual degrees of freedom: its BIC
+    # is -inf, and one such score would make every normalised score NaN
+    scored = [result for result in results if np.isfinite(result.bic)]
+    if not scored:
+        return results[0]
+    bics = np.array([result.bic for result in scored])
     best = bics.max()
     worst = bics.min()
     if best == worst:
-        return results[0]
+        return scored[0]
     scores = (bics - worst) / (best - worst)
-    for result, score in zip(results, scores, strict=True):
+    for result, score in zip(scored, scores, strict=True):
         if score >= bic_threshold:
             return result
-    return results[int(bics.argmax())]
+    return scored[int(bics.argmax())]

@@ -220,3 +220,12 @@ def test_bench_checkpoint_suite_unknown_baseline(tmp_path, capsys):
     assert code == 2
     out = capsys.readouterr().out
     assert "simpoint-ckpt" in out
+
+
+def test_bench_check_and_update_baseline_are_exclusive(capsys):
+    # --update-baseline used to return before the gate ran, silently
+    # skipping --check; together they are now a usage error
+    with pytest.raises(SystemExit) as excinfo:
+        main(["bench", "--check", "--update-baseline"])
+    assert excinfo.value.code == 2
+    assert "not allowed with" in capsys.readouterr().err

@@ -55,6 +55,21 @@ def test_choose_clustering_min_k_floor():
     assert result.k >= 4  # 400 // 100
 
 
+def test_choose_clustering_skips_non_finite_bic():
+    # n=4 points, max_k=4: candidates k=1, 2, 4, and k == n scores BIC
+    # -inf.  Normalising with it in would make every score NaN and
+    # silently fall back to argmax; without it the SimPoint rule holds.
+    data = np.array([[0.0, 0.0, 0.0], [0.1, 0.0, 0.0],
+                     [10.0, 10.0, 10.0], [10.1, 10.0, 10.0]])
+    assert data.shape == (4, 3)
+    assert kmeans(data, 4, seed=4).bic == -np.inf
+    assert kmeans(data, 2, seed=2).bic > kmeans(data, 1, seed=1).bic
+    assert choose_clustering(data, max_k=4).k == 2
+    # every finite candidate clears a zero threshold: the rule takes
+    # the smallest k, where argmax would have taken k=2
+    assert choose_clustering(data, max_k=4, bic_threshold=0.0).k == 1
+
+
 def test_random_projection_shape_and_determinism():
     rng = np.random.default_rng(0)
     data = rng.standard_normal((50, 200))
