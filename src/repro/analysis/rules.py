@@ -52,13 +52,11 @@ TELEMETRY_FILES: Tuple[str, ...] = ("obs/telemetry.py",
                                     "harness/history.py")
 
 #: modules allowed to call compile()/exec(): the DBT is the one
-#: sanctioned JIT; everything it compiles is vetted by the superblock
-#: sanitizer (repro.analysis.sanitizer).  The megablock tier's chain
-#: compiler (exit-stub emission + compile) lives in vm/chain.py and is
-#: vetted by the same sanitizer, including its chained-dispatch calls.
+#: sanctioned JIT — blocks and megablocks alike compile through its
+#: single cache-miss path, and everything it compiles is vetted by the
+#: superblock sanitizer (repro.analysis.sanitizer)
 SANCTIONED_DYNAMIC_CODE: FrozenSet[str] = frozenset({
     "vm/translator.py",
-    "vm/chain.py",
 })
 
 

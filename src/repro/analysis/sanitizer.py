@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import ast
 import os
-import re
 from typing import Collection, FrozenSet, List, Set
 
 __all__ = ["SanitizerError", "sanitize_block_source",
@@ -54,12 +53,6 @@ ALLOWED_BUILTINS: FrozenSet[str] = frozenset(
 #: mutating list/deque methods allowed on block locals (LRU ways)
 LIST_MUTATORS: FrozenSet[str] = frozenset(
     {"insert", "remove", "pop", "append", "clear"})
-
-#: the megablock tier's chained-dispatch call form: environment names
-#: matching this pattern are compiled block functions a megablock's
-#: direct-threaded exits may tail-dispatch into — and they must be
-#: called with exactly the block signature ``(state, <budget expr>)``
-CHAINED_DISPATCH = re.compile(r"^_chain\d+$")
 
 #: statement/expression node types generated code never contains;
 #: their presence means the codegen (or an injected source) went rogue
@@ -188,19 +181,6 @@ class _Checker(ast.NodeVisitor):
             if (name not in self.env and name not in self.locals
                     and name not in ALLOWED_BUILTINS):
                 self._reject(node, f"call to unknown name {name}()")
-            elif CHAINED_DISPATCH.match(name):
-                # The megablock tier's chained-dispatch call form: a
-                # direct-threaded exit may tail-dispatch into another
-                # compiled block function, but only with the canonical
-                # block signature ``_chainN(state, <budget expr>)`` —
-                # anything else is not a block dispatch.
-                ok = (len(node.args) == 2 and not node.keywords
-                      and isinstance(node.args[0], ast.Name)
-                      and node.args[0].id == "state")
-                if not ok:
-                    self._reject(node,
-                                 f"chained dispatch {name}() must be "
-                                 "called as (state, <budget>)")
         elif isinstance(func, ast.Attribute):
             base = func.value
             ok = (isinstance(base, ast.Name)

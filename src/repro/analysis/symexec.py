@@ -1,8 +1,7 @@
 """Symbolic verifier for generated superblocks and megablocks.
 
-The translator (:mod:`repro.vm.translator`), the fused timing codegen
-(:mod:`repro.timing.codegen`) and the chain linker
-(:mod:`repro.vm.chain`) all emit Python source for
+The translator (:mod:`repro.vm.translator`) and the fused timing
+codegen (:mod:`repro.timing.codegen`) emit Python source for
 ``_block(state, budget)`` functions.  This module *proves* each emitted
 function equivalent to the ISA semantics of its decoded instructions:
 
@@ -25,9 +24,9 @@ function equivalent to the ISA semantics of its decoded instructions:
 
 Three consumers: ``python -m repro verify-codegen`` (the corpus
 driver in :mod:`.verifyreport`), the opt-in ``REPRO_VERIFY=1`` deep
-check at the translator/chain-linker seam (:func:`hook_block`,
-:func:`hook_inline_chain`, :func:`hook_threaded_chain` — layered
-above the syntactic sanitizer and sharing its counter conventions),
+check at the translator seam (:func:`hook_block`,
+:func:`hook_inline_chain` — layered above the syntactic sanitizer and
+sharing its counter conventions),
 and the mutation self-check tests, which seed deliberate codegen bugs
 and assert every one produces a diff.
 """
@@ -36,7 +35,6 @@ from __future__ import annotations
 
 import ast
 import os
-import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import (Any, Dict, Iterator, List, Optional, Sequence,
@@ -56,8 +54,7 @@ from .symstate import (MASK64, ExitDiff, ExitSummary, SymState, Term,
 __all__ = [
     "ProtocolError", "VerifyError", "Captured",
     "verify_block_source", "verify_inline_chain",
-    "verify_threaded_chain",
-    "hook_block", "hook_inline_chain", "hook_threaded_chain",
+    "hook_block", "hook_inline_chain",
     "verifier_enabled", "verifier_active", "capture",
     "stats", "reset_stats",
 ]
@@ -73,7 +70,6 @@ _SEM_HELPERS = frozenset({
     "fmin2", "fmax2", "f2i", "float", "abs",
 })
 _TRAP_NAMES = ("SyscallTrap", "BreakpointTrap")
-_CHAIN_CALL = re.compile(r"^_chain(\d+)$")
 
 _BINOPS: Dict[type, Any] = {
     ast.Add: t_add, ast.Sub: t_sub, ast.Mult: t_mul,
@@ -94,7 +90,7 @@ Outcome = Tuple[Any, ...]
 class ProtocolError(Exception):
     """The generated source violates a structural invariant the
     executor relies on (an unknown statement form, a loop where none
-    belongs, a fragment call out of order...).  Itself a finding: the
+    belongs...).  Itself a finding: the
     verifier reports it as a diff rather than crashing."""
 
 
@@ -208,8 +204,6 @@ class _Exec:
               exc: Optional[Term] = None) -> ExitSummary:
         return summarize(
             st, kind, executed, exc,
-            compare_stores=self.kind.compare_stores,
-            compare_events=self.kind.compare_events,
             tracked_locals=self.kind.tracked_locals)
 
     def _note(self, st: SymState, node: ast.AST) -> None:
@@ -273,7 +267,7 @@ class _Exec:
                 raise ProtocolError(f"bare raise at line {node.lineno}")
             exc = self.eval(st, node.exc)
             if not (isinstance(exc, tuple)
-                    and exc[0] in ("trap", "fault", "fragfault")):
+                    and exc[0] in ("trap", "fault")):
                 raise ProtocolError(
                     f"raise of a non-exception term at line "
                     f"{node.lineno}")
@@ -549,8 +543,8 @@ class _Exec:
                 raise ProtocolError(
                     f"identity comparison of two non-None terms at "
                     f"line {node.lineno}")
-            if isinstance(value, tuple) and value[0] in (
-                    "trap", "fault", "fragfault"):
+            if isinstance(value, tuple) and value[0] in ("trap",
+                                                         "fault"):
                 return negate        # an exception value is never None
             if not isinstance(value, tuple):
                 return (value is None) != negate
@@ -588,11 +582,6 @@ class _Exec:
             if name in _SEM_HELPERS:
                 return t_call(name,
                               [self.eval(st, arg) for arg in node.args])
-            match = _CHAIN_CALL.match(name)
-            if match is not None:
-                self._note(st, node)
-                return self.kind.frag_call(st, int(match.group(1)),
-                                           node, self)
             if name in ("int", "len"):
                 args = [self.eval(st, arg) for arg in node.args]
                 if name == "int" and args and is_concrete(args[0]):
@@ -627,8 +616,6 @@ class _KindBase:
     """Shared protocol defaults for the per-form verifiers."""
 
     pc_entry: int
-    compare_stores = True
-    compare_events = True
     tracked_locals: Tuple[str, ...] = ()
 
     def pre_loop(self, st: SymState) -> None:
@@ -637,12 +624,6 @@ class _KindBase:
     def havoc(self, st: SymState) -> None:
         raise ProtocolError("unexpected loop in this block form")
 
-    def frag_call(self, st: SymState, index: int, node: ast.Call,
-                  ex: _Exec) -> Term:
-        raise ProtocolError(
-            f"unexpected chained dispatch _chain{index}() in this "
-            "block form")
-
     def expected(self) -> List[ExitSummary]:
         raise NotImplementedError
 
@@ -650,8 +631,6 @@ class _KindBase:
               executed: Optional[Term] = None,
               exc: Optional[Term] = None) -> ExitSummary:
         return summarize(st, kind, executed, exc,
-                         compare_stores=self.compare_stores,
-                         compare_events=self.compare_events,
                          tracked_locals=self.tracked_locals)
 
 
@@ -923,145 +902,6 @@ class _InlineChainKind(_KindBase):
         return out
 
 
-class _ThreadedChainKind(_KindBase):
-    """A direct-threaded megablock: chained dispatch through compiled
-    ``_chainN`` fragment functions, verified against the exit-stub
-    contract (fragment bodies are verified separately as blocks)."""
-
-    compare_stores = False
-    compare_events = False
-
-    def __init__(self, chain: Sequence[Tuple[int, int]],
-                 loop_back: bool) -> None:
-        self.chain = [(pc, length) for pc, length in chain]
-        if not self.chain:
-            raise ValueError("empty chain")
-        self.loop_back = loop_back
-        self.head = self.chain[0][0]
-        self.pc_entry = self.head
-        self.tracked_locals = ("n", "d")
-
-    def pre_loop(self, st: SymState) -> None:
-        if st.locs.get("n") != 0:
-            raise ProtocolError("chain loop entered with n != 0")
-        if st.locs.get("d") != 0:
-            raise ProtocolError("chain loop entered with d != 0")
-        _check_clean_entry(st, self.head)
-
-    def havoc(self, st: SymState) -> None:
-        st.havoc_registers()
-        st.stores.clear()
-        st.events.clear()
-        st.conds.clear()
-        st.nmem = 0
-        st.locs["n"] = ("sym", "N")
-        st.locs["d"] = ("sym", "D")
-        st.locs["__frag"] = 0
-        st.attrs["pc"] = self.head
-        st.attrs["halted"] = False
-        st.attrs["block_progress"] = 0
-        st.attrs["icount"] = t_add(("sym", "icount0"), ("sym", "N"))
-
-    def frag_call(self, st: SymState, index: int, node: ast.Call,
-                  ex: _Exec) -> Term:
-        k = st.locs.get("__frag")
-        if not isinstance(k, int):
-            raise ProtocolError(
-                "chained dispatch outside the chain loop")
-        if k >= len(self.chain) or index != k:
-            raise ProtocolError(
-                f"_chain{index}() called at fragment position {k}")
-        args = node.args
-        if (len(args) != 2 or not isinstance(args[0], ast.Name)
-                or args[0].id != "state"
-                or ex.eval(st, args[1]) != ("sym", "budget")):
-            raise ProtocolError(
-                f"_chain{index} must be called as "
-                f"_chain{index}(state, budget)")
-        st.locs["__frag"] = k + 1
-        st.havoc_registers()
-        fault = st.clone()
-        fault.write_attr("block_progress", ("sym", f"bp{k}"))
-        ex._faults.append((fault, ("fragfault", k)))
-        st.write_attr("pc", ("sym", f"pc{k}"))
-        st.write_attr("halted", ("sym", f"halted{k}"))
-        st.write_attr("block_progress", ("sym", f"bpc{k}"))
-        return ("sym", f"x{k}")
-
-    def expected(self) -> List[ExitSummary]:
-        out: List[ExitSummary] = []
-        st = entry_state(self.head)
-        self.havoc(st)
-        budget: Term = ("sym", "budget")
-        d0: Term = ("sym", "D")
-        n_cur: Term = ("sym", "N")
-        s: Optional[SymState] = st
-        nfrags = len(self.chain)
-        for k, (pc_k, length_k) in enumerate(self.chain):
-            assert s is not None
-            s.havoc_registers()
-            bp: Term = ("sym", f"bp{k}")
-            fault = s.clone()
-            fault.write_attr(
-                "pc", t_add(pc_k, t_mul(t_mod(bp, length_k), 4)))
-            fault.write_attr("block_progress", t_add(n_cur, bp))
-            fault.write_attr(
-                "icount", t_sub(fault.read_attr("icount"), n_cur))
-            fault.write_vs(
-                "block_dispatches",
-                t_add(fault.read_vs("block_dispatches"),
-                      t_add(d0, k)))
-            out.append(self._summ(fault, "raise",
-                                  exc=("fragfault", k)))
-            s.write_attr("pc", ("sym", f"pc{k}"))
-            s.write_attr("halted", ("sym", f"halted{k}"))
-            s.write_attr("block_progress", ("sym", f"bpc{k}"))
-            x: Term = ("sym", f"x{k}")
-            n_cur = t_add(n_cur, x)
-            d_cur = t_add(d0, k + 1)
-            s.locs["n"] = n_cur
-            s.locs["d"] = d_cur
-            s.write_attr("icount", t_add(s.read_attr("icount"), x))
-            if k + 1 < nfrags:
-                succ: Optional[int] = self.chain[k + 1][0]
-            elif self.loop_back:
-                succ = self.head
-            else:
-                succ = None
-            if succ is None:
-                s.write_attr("icount",
-                             t_sub(s.read_attr("icount"), n_cur))
-                s.write_vs(
-                    "block_dispatches",
-                    t_add(s.read_vs("block_dispatches"),
-                          t_sub(d_cur, 1)))
-                out.append(self._summ(s, "return", executed=n_cur))
-                s = None
-                break
-            atoms = [
-                t_cmp("ne", s.read_attr("pc"), succ),
-                t_cmp("ge", n_cur, budget),
-                s.read_attr("halted"),
-                ("env", "IRQ"),
-                t_cmp("ne", fresh_opaque("GEN[0]"),
-                      fresh_opaque("GEN[0]")),
-            ]
-            guard = t_or(atoms)
-            exit_st = s.clone()
-            exit_st.conds.append((guard, True))
-            exit_st.write_attr(
-                "icount", t_sub(exit_st.read_attr("icount"), n_cur))
-            exit_st.write_vs(
-                "block_dispatches",
-                t_add(exit_st.read_vs("block_dispatches"),
-                      t_sub(d_cur, 1)))
-            out.append(self._summ(exit_st, "return", executed=n_cur))
-            s.conds.append((guard, False))
-        if s is not None:
-            out.append(self._summ(s, "backedge"))
-        return out
-
-
 # ----------------------------------------------------------------------
 # public verification entry points
 
@@ -1091,29 +931,20 @@ def verify_inline_chain(source: str,
     return _run_verify(source, _InlineChainKind(frags, loop_back))
 
 
-def verify_threaded_chain(source: str,
-                          chain: Sequence[Tuple[int, int]],
-                          loop_back: bool) -> List[ExitDiff]:
-    """Prove a direct-threaded megablock against the chained-dispatch
-    stub contract; ``chain`` holds ``(pc, length)`` per fragment."""
-    return _run_verify(source, _ThreadedChainKind(chain, loop_back))
-
-
 # ----------------------------------------------------------------------
-# translator/chain-linker seam: capture + opt-in deep checking
+# translator seam: capture + opt-in deep checking
 
 @dataclass(frozen=True)
 class Captured:
     """One generated source captured at the translator seam, with the
     metadata needed to re-verify it offline (the corpus driver)."""
 
-    form: str          # "block" | "chain-inline" | "chain-threaded"
+    form: str          # "block" | "chain-inline"
     flavor: str        # "fast" | "event" | "timed" | "warm"
     source: str
     pc0: int
     instrs: Tuple[Instr, ...] = ()
     frags: Tuple[Tuple[int, Tuple[Instr, ...]], ...] = ()
-    chain: Tuple[Tuple[int, int], ...] = ()
     loop_back: bool = False
 
     @property
@@ -1122,9 +953,7 @@ class Captured:
             return {"fast": "fast", "event": "event",
                     "timed": "fused-timed",
                     "warm": "fused-warm"}[self.flavor]
-        if self.form == "chain-inline":
-            return "mega-inline"
-        return "mega-threaded"
+        return "mega-inline"
 
     @property
     def label(self) -> str:
@@ -1134,11 +963,8 @@ class Captured:
         if self.form == "block":
             return verify_block_source(self.source, self.pc0,
                                        self.instrs, self.flavor)
-        if self.form == "chain-inline":
-            return verify_inline_chain(self.source, self.frags,
-                                       self.loop_back)
-        return verify_threaded_chain(self.source, self.chain,
-                                     self.loop_back)
+        return verify_inline_chain(self.source, self.frags,
+                                   self.loop_back)
 
 
 _CHECKED = 0
@@ -1208,7 +1034,7 @@ def hook_block(source: str, pc0: int, instrs: Sequence[Instr],
 def hook_inline_chain(source: str,
                       frags: Sequence[Tuple[int, Sequence[Instr]]],
                       loop_back: bool, flavor: str) -> None:
-    """Chain-linker seam: a freshly generated inline megablock."""
+    """Translator seam: every freshly generated megablock source."""
     packed = tuple((pc, tuple(instrs)) for pc, instrs in frags)
     item = Captured(form="chain-inline", flavor=flavor,
                     source=source, pc0=packed[0][0], frags=packed,
@@ -1218,18 +1044,3 @@ def hook_inline_chain(source: str,
     if verifier_enabled():
         _deep_check(item.label, source,
                     verify_inline_chain(source, packed, loop_back))
-
-
-def hook_threaded_chain(source: str,
-                        chain: Sequence[Tuple[int, int]],
-                        loop_back: bool, flavor: str) -> None:
-    """Chain-linker seam: a freshly generated direct-threaded chain."""
-    packed = tuple((pc, length) for pc, length in chain)
-    item = Captured(form="chain-threaded", flavor=flavor,
-                    source=source, pc0=packed[0][0], chain=packed,
-                    loop_back=loop_back)
-    if _CAPTURE is not None:
-        _CAPTURE.append(item)
-    if verifier_enabled():
-        _deep_check(item.label, source,
-                    verify_threaded_chain(source, packed, loop_back))

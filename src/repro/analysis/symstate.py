@@ -40,7 +40,7 @@ equivalent to the ISA.  The grammar:
     a guest memory load; ``seq`` is the state's memory-operation
     sequence number, shared with fault terms so both sides agree on
     *which* access faulted
-``("trap", name, pc)``, ``("fault", seq)``, ``("fragfault", k)``
+``("trap", name, pc)``, ``("fault", seq)``
     exception values
 ``("tuple", items...)``, ``("regs",)``, ``("fregs",)``, ``("sinkfn",)``
     structural helpers for the executor.
@@ -561,8 +561,6 @@ _FIELDS = ("conds", "pc", "halted", "regs", "fregs", "attrs_extra",
 
 def summarize(st: SymState, kind: str, executed: Optional[Term] = None,
               exc: Optional[Term] = None, *,
-              compare_stores: bool = True,
-              compare_events: bool = True,
               tracked_locals: Tuple[str, ...] = ()) -> ExitSummary:
     """Normalize one finished path into a comparable summary."""
     regs = tuple(sorted(
@@ -601,12 +599,10 @@ def summarize(st: SymState, kind: str, executed: Optional[Term] = None,
                   if exc is not None else None),
         icount_delta=icount_delta,
         vs=tuple(vs),
-        stores=(tuple((size, strip_ids(addr), strip_ids(value))
-                      for size, addr, value in st.stores)
-                if compare_stores else None),
-        events=(tuple(tuple(strip_ids(f) for f in event)
-                      for event in st.events)
-                if compare_events else None),
+        stores=tuple((size, strip_ids(addr), strip_ids(value))
+                     for size, addr, value in st.stores),
+        events=tuple(tuple(strip_ids(f) for f in event)
+                     for event in st.events),
         invars=invars,
     )
 

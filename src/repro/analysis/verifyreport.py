@@ -15,11 +15,8 @@ Coverage strategy per benchmark:
 
 The process-wide compiled-code cache is cleared before each benchmark so
 every distinct source reaches the capture seam (capture fires only on
-cache misses).  Because the inline-fusion path shadows the direct-
-threaded emitter whenever fusion succeeds, the driver additionally
-synthesizes the threaded form of every captured inline chain so the
-``mega-threaded`` tier is exercised even on corpora where the inline
-fallback never triggers.
+cache misses).  Every tier is verified from the sources the run really
+compiled; nothing is synthesised.
 """
 
 from __future__ import annotations
@@ -27,7 +24,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.analysis import symexec
 from repro.analysis.symstate import ExitDiff
@@ -49,8 +46,7 @@ CORPUS_WINDOWS: Dict[str, Tuple[int, int]] = {
 
 #: Every tier the verifier can prove, in report order.
 TIER_ORDER: Tuple[str, ...] = (
-    "fast", "event", "fused-timed", "fused-warm",
-    "mega-inline", "mega-threaded",
+    "fast", "event", "fused-timed", "fused-warm", "mega-inline",
 )
 
 
@@ -131,7 +127,7 @@ class VerifyReport:
 def _capture_benchmark(bench: str, size: str,
                        warm: int, measure: int) -> List[symexec.Captured]:
     """Run one benchmark across all execution modes, capturing every
-    source that reaches the translator / chain-linker seam."""
+    source that reaches the translator seam."""
     from repro.sampling.controller import SimulationController
     from repro.timing import TimingConfig
     from repro.vm import translator as translator_module
@@ -152,30 +148,6 @@ def _capture_benchmark(bench: str, size: str,
     return captured
 
 
-def _synthesize_threaded(captured: Iterable[symexec.Captured],
-                         ) -> List[symexec.Captured]:
-    """Direct-threaded twins of every captured inline chain.
-
-    Inline fusion shadows the threaded emitter on link sets it can
-    fuse, so the threaded tier would otherwise only see the dynamic
-    fallback cases; emitting (and verifying) both forms for the same
-    link sets keeps the two code paths honest against each other.
-    """
-    from repro.vm.chain import emit_chain_source
-
-    twins: List[symexec.Captured] = []
-    for item in captured:
-        if item.form != "chain-inline":
-            continue
-        chain = tuple((pc, len(instrs)) for pc, instrs in item.frags)
-        source = emit_chain_source(list(chain), item.loop_back,
-                                   item.flavor)
-        twins.append(symexec.Captured(
-            form="chain-threaded", flavor=item.flavor, source=source,
-            pc0=item.pc0, chain=chain, loop_back=item.loop_back))
-    return twins
-
-
 def run_corpus(corpus: str = "tiny",
                benchmarks: Optional[List[str]] = None,
                progress: Optional[Callable[[str], None]] = None,
@@ -193,9 +165,7 @@ def run_corpus(corpus: str = "tiny",
     for bench in benches:
         if progress is not None:
             progress(f"verify-codegen: running {bench} ({corpus})")
-        captured = _capture_benchmark(bench, corpus, warm, measure)
-        captured.extend(_synthesize_threaded(captured))
-        for item in captured:
+        for item in _capture_benchmark(bench, corpus, warm, measure):
             key = (item.tier, item.source)
             if key in seen:
                 report.duplicates += 1

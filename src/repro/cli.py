@@ -94,8 +94,9 @@ Commands
 [--out FILE]``
     Symbolic codegen verifier: run the megablock corpus with the
     translator capture seam open and prove every generated
-    superblock and megablock (all six tiers) equivalent to the ISA
-    semantics of its instructions.  Exit 1 on any semantic
+    superblock and megablock (five tiers: fast, event, fused-timed,
+    fused-warm, mega-inline) equivalent to the ISA semantics of its
+    instructions.  Exit 1 on any semantic
     divergence; ``--json`` prints per-tier counts and findings with
     minimized exit-diff traces.
 """
@@ -827,7 +828,8 @@ def main(argv=None) -> int:
 
     verify_parser = sub.add_parser(
         "verify-codegen",
-        help="symbolically prove generated code against the ISA")
+        help="symbolically prove every generated block and megablock "
+             "(five tiers) against the ISA")
     verify_parser.add_argument("--corpus", default="tiny",
                                choices=("tiny", "small"),
                                help="benchmark windows to run "

@@ -6,10 +6,14 @@ one dict lookup, a handful of attribute reads and a call frame per few
 guest instructions.  This module adds the tier above it, the analogue
 of Dynamo's fragment linking and QEMU/HQEMU's TB chaining: once the
 tier-promotion counters mark a fused superblock hot, the linker records
-its observed successors and re-emits it as a **megablock** — a single
-compiled function that tail-dispatches straight through the chain of
-already-compiled fragments with *direct-threaded exits*, so hot loops
-execute as a closed chain without touching the dispatch loop.
+its observed successors and re-emits it as a **megablock** — one
+function with the chain's fused bodies spliced in and guarded exits
+between them (:meth:`~repro.vm.translator.Translator.generate_chain`),
+so hot loops execute as a closed chain without touching the dispatch
+loop.  The linker only picks the chain; the translator decodes,
+generates, checks and compiles it on the same path as every block.
+A chain the emitter cannot splice (a timed fragment that overflows a
+core buffer) is never built: its head stays on the fused tier.
 
 Equivalence contract
 --------------------
@@ -35,10 +39,10 @@ exactly:
 Linking and unlinking invariants
 --------------------------------
 
-* A chain may only thread into fragments resident in the binding's
-  fused cache at build time; the compiled closures stay valid even if
-  the cache later evicts them (eviction is host bookkeeping, the guest
-  code is unchanged).
+* A chain may only thread through fragments resident in the binding's
+  fused cache at build time; the spliced code stays valid even if the
+  cache later evicts them (eviction is host bookkeeping, the guest code
+  is unchanged).
 * Invalidating any byte of any constituent fragment — SMC store, page
   invalidation, or flush — unlinks every chain that enters it *and*
   bumps the generation counter, so even a chain currently executing
@@ -55,13 +59,10 @@ bit-identical either way, only wall-clock changes.
 
 from __future__ import annotations
 
-from typing import (TYPE_CHECKING, Callable, Dict, List, Optional,
-                    Sequence, Set, Tuple)
+from typing import TYPE_CHECKING, Dict, List, Optional, Set
 
-from repro.mem.faults import GuestFault
-
-from . import translator as _translator
 from .code_cache import ChainedBlock, block_pages
+from .translator import UnspliceableChain
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.timing.codegen import (TimedBlockCodegen,
@@ -72,70 +73,17 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
     BlockCodegen = TimedBlockCodegen | WarmingBlockCodegen
 
-__all__ = ["ChainLinker", "MAX_CHAIN", "DEFAULT_OBSERVATIONS",
-           "emit_chain_source"]
+__all__ = ["ChainLinker", "MAX_CHAIN"]
 
 #: longest chain a megablock may thread through.  Long enough that a
 #: typical hot loop body (a handful of superblocks) closes into one
 #: chain; short enough that a cold mispredicted tail stays cheap.
 MAX_CHAIN = 8
 
-#: successor observations a hot head must accumulate before its chain
-#: is built (entries counted from the moment the fused tier promotes
-#: the block; mirrors ``fast_promote_threshold`` in spirit)
-DEFAULT_OBSERVATIONS = 16
-
 #: minimum share of a head's observed exits the dominant successor must
 #: hold before an exit stub threads into it — chaining a coin-flip
 #: branch would pay the guard on every dispatch and win nothing
 MIN_SUCCESSOR_SHARE = 0.6
-
-
-def emit_chain_source(chain: Sequence[Tuple[int, int]],
-                      loop_back: bool, flavor: str) -> str:
-    """Python source for one megablock over ``chain`` fragments.
-
-    ``chain`` is the ordered list of constituent ``(pc, length)``
-    pairs; the compiled fragments themselves arrive through the exec
-    environment as ``_chain0..N`` (the sanitizer's chained-dispatch
-    call form), keeping the emitted source — and therefore the host
-    compiled-code cache entry — a pure function of the link-set
-    fingerprint, never of which machine built it.  ``loop_back`` means
-    the last fragment's dominant successor is the head: the chain
-    closes into a ``while`` loop and hot loops iterate entirely inside
-    this function until a guard breaks.
-    """
-    from repro.timing.codegen import chain_call_stub, chain_exit_stub
-
-    lines: List[str] = [
-        "def _block(state, budget):",
-        "    _irq = IRQ",
-        "    _gen = GEN",
-        "    _g0 = _gen[0]",
-        "    n = 0",
-        "    d = 0",
-        "    while 1:",
-    ]
-    ind = "        "
-    head_pc = chain[0][0]
-    for index, (pc, length) in enumerate(chain):
-        for text in chain_call_stub(index, pc, length):
-            lines.append(ind + text)
-        is_last = index == len(chain) - 1
-        if not is_last:
-            lines.extend(ind + text for text in
-                         chain_exit_stub(flavor, chain[index + 1][0]))
-        elif loop_back:
-            lines.extend(ind + text for text in
-                         chain_exit_stub(flavor, head_pc))
-        else:
-            lines.append(ind + "break")
-    lines += [
-        "    state.icount -= n",
-        "    VS.block_dispatches += d - 1",
-        "    return n",
-    ]
-    return "\n".join(lines) + "\n"
 
 
 class ChainLinker:
@@ -148,12 +96,10 @@ class ChainLinker:
     """
 
     def __init__(self, machine: "Machine", cache: "CodeCache",
-                 codegen: "BlockCodegen",
-                 max_chain: int = MAX_CHAIN) -> None:
+                 codegen: "BlockCodegen") -> None:
         self.machine = machine
         self.cache = cache          # the binding's fused CodeCache
         self.codegen = codegen
-        self.max_chain = max_chain
         #: heads still recording: head pc -> {successor pc: entries}
         #: (the chain-entry counters; cleared by flush)
         self.pending: Dict[int, Dict[int, int]] = {}
@@ -206,12 +152,17 @@ class ChainLinker:
         return best[0]
 
     def _build(self, head: int) -> Optional[ChainedBlock]:
-        """Thread the dominant-successor chain starting at ``head``."""
+        """Thread the dominant-successor chain starting at ``head``.
+
+        Returns ``None`` — the head stays on the fused tier — when the
+        chain is too short to thread or the translator cannot splice
+        it (:class:`~repro.vm.translator.UnspliceableChain`).
+        """
         fragments: List["TranslatedBlock"] = []
         seen: Set[int] = set()
         loop_back = False
         current = head
-        while len(fragments) < self.max_chain:
+        while len(fragments) < MAX_CHAIN:
             block = self.cache.get(current)
             if block is None or getattr(block, "chained", False):
                 break
@@ -228,7 +179,22 @@ class ChainLinker:
             current = successor
         if not fragments or (len(fragments) < 2 and not loop_back):
             return None  # nothing to thread
-        entry = self._compile(head, fragments, loop_back)
+        try:
+            fn = self.machine.translator.translate_chain(
+                fragments, loop_back, self.codegen,
+                {"VS": self.machine.stats,
+                 "IRQ": self.machine._pending_irqs,
+                 "GEN": self.generation})
+        except UnspliceableChain:
+            return None
+        pages: Set[int] = set()
+        for block in fragments:
+            pages |= block_pages(block.pc, block.length)
+        entry = ChainedBlock(head, fn,
+                             sum(block.length for block in fragments),
+                             pages,
+                             [(block.pc, block.length)
+                              for block in fragments])
         self.mega[head] = entry
         for vpn in entry.pages:
             self.page_index.setdefault(vpn, set()).add(head)
@@ -241,114 +207,6 @@ class ChainLinker:
         self.cache.discard(head)
         self.chains_built += 1
         return entry
-
-    def _compile(self, head: int,
-                 fragments: Sequence["TranslatedBlock"],
-                 loop_back: bool) -> ChainedBlock:
-        """Emit, sanitize and compile one megablock (sanctioned JIT
-        site — rule REPRO004 lists this module beside the translator).
-
-        Two emission strategies share the same guard/accounting
-        contract:
-
-        * **inline fusion** (preferred): re-decode the constituents and
-          splice their fused bodies into one function with a single
-          shared timing-model prologue/epilogue
-          (:meth:`~repro.vm.translator.Translator.generate_chain`) —
-          this is where the speedup lives;
-        * **call threading** (fallback, :func:`emit_chain_source`):
-          tail-dispatch through the already-compiled fragment closures
-          with direct-threaded exit stubs.  Used when a fragment's
-          emitted form cannot be spliced (dynamic ring addressing) or
-          its code changed since translation.
-        """
-        chain = tuple((block.pc, block.length) for block in fragments)
-        flavor = self.codegen.flavor
-        translator = self.machine.translator
-        env = {"GuestFault": GuestFault,
-               "VS": self.machine.stats,
-               "IRQ": self.machine._pending_irqs,
-               "GEN": self.generation}
-        key: Optional[tuple] = None
-        source_fn: Optional[Callable[[], str]] = None
-        inline_frags = None
-        try:
-            frags = [(block.pc, translator._decode_block(block.pc))
-                     for block in fragments]
-            for block, (_pc, instrs) in zip(fragments, frags):
-                if len(instrs) != block.length:
-                    raise ValueError("decode no longer matches the "
-                                     "translated fragment")
-            key = ("mega-inline", self.codegen.cache_key, loop_back,
-                   tuple((pc, tuple((i.op, i.rd, i.rs1, i.rs2, i.imm)
-                                    for i in instrs))
-                         for pc, instrs in frags))
-            if _translator._CODE_CACHE.get(key) is None:
-                # generate eagerly: a fragment that cannot be spliced
-                # (dynamic ring addressing) raises here, inside the
-                # try, selecting the call-threaded fallback below
-                inline_source = translator.generate_chain(
-                    frags, loop_back, self.codegen)
-                source_fn = lambda: inline_source  # noqa: E731
-                inline_frags = frags
-            env.update(translator._env_base)
-            env.update(self.codegen.env())
-            env["VS"] = self.machine.stats     # keep ours over any alias
-        except ValueError:
-            key = None
-            inline_frags = None
-        if key is None:
-            # call-threaded fallback: the compiled fragment closures
-            # become the chain environment (_chain0.._chainN)
-            key = ("mega", flavor, loop_back, chain)
-            env = {"GuestFault": GuestFault,
-                   "VS": self.machine.stats,
-                   "IRQ": self.machine._pending_irqs,
-                   "GEN": self.generation}
-            for index, block in enumerate(fragments):
-                env[f"_chain{index}"] = block.fn
-            if _translator._CODE_CACHE.get(key) is None:
-                source_fn = lambda: emit_chain_source(  # noqa: E731
-                    chain, loop_back, flavor)
-        profiler = _translator._profiler()
-        profiling = profiler.profiling_enabled()
-        cached = _translator._CODE_CACHE.get(key)
-        if cached is None:
-            started = profiler.now() if profiling else 0.0
-            source = source_fn()
-            _translator._sanitize(source, set(env), "mega")
-            verifier = _translator._verifier()
-            if verifier.verifier_active():
-                # symbolic deep-check seam (see translator._verify_block)
-                if inline_frags is not None:
-                    verifier.hook_inline_chain(source, inline_frags,
-                                               loop_back, flavor)
-                else:
-                    verifier.hook_threaded_chain(source, chain,
-                                                 loop_back, flavor)
-            code = compile(source, f"<megablock 0x{head:x} {flavor}>",
-                           "exec")
-            if profiling:
-                profiler.record_translation(
-                    head, "megablock", profiler.now() - started,
-                    source_lines=source.count("\n"))
-            if len(_translator._CODE_CACHE) >= \
-                    _translator._CODE_CACHE_CAPACITY:
-                _translator._CODE_CACHE.clear()
-            _translator._CODE_CACHE[key] = (code, source)
-        else:
-            code, source = cached
-        namespace = env
-        exec(code, namespace)  # noqa: S102 - the megablock tier's JIT
-        fn = namespace["_block"]
-        if profiling:
-            fn = profiler.wrap_block(fn, head, "megablock")
-        pages: Set[int] = set()
-        length = 0
-        for block in fragments:
-            pages |= block_pages(block.pc, block.length)
-            length += block.length
-        return ChainedBlock(head, fn, length, pages, chain)
 
     # ------------------------------------------------------------------
     # unlinking

@@ -36,7 +36,8 @@ class TranslatedBlock:
 
 
 class ChainedBlock(TranslatedBlock):
-    """A megablock: a chain of fused superblocks with threaded exits.
+    """A megablock: the fused bodies of a superblock chain spliced into
+    one function, with guarded exits between them.
 
     ``pc``/``fn`` follow the :class:`TranslatedBlock` contract (the
     dispatch loop calls ``fn(state, budget)`` exactly like any other

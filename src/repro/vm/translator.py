@@ -29,7 +29,8 @@ retired instructions precisely.
 
 from __future__ import annotations
 
-from typing import List
+from functools import partial
+from typing import Callable, List
 
 from repro.isa import DecodeError, Instr, OP_INFO, Op, decode
 from repro.mem.faults import (BreakpointTrap, GuestFault, IllegalInstruction,
@@ -257,11 +258,28 @@ def _verify_block(source: str, pc: int, instrs, flavor: str) -> None:
         verifier.hook_block(source, pc, instrs, flavor)
 
 
+def _verify_chain(source: str, frags, loop_back: bool,
+                  flavor: str) -> None:
+    """The same deep-check seam for an inline megablock."""
+    verifier = _verifier()
+    if verifier.verifier_active():
+        verifier.hook_inline_chain(source, frags, loop_back, flavor)
+
+
+def _instr_key(instrs) -> tuple:
+    return tuple((instr.op, instr.rd, instr.rs1, instr.rs2, instr.imm)
+                 for instr in instrs)
+
+
 def _block_key(pc: int, instrs, flavor: str, codegen) -> tuple:
     return (flavor, pc,
             None if codegen is None else codegen.cache_key,
-            tuple((instr.op, instr.rd, instr.rs1, instr.rs2, instr.imm)
-                  for instr in instrs))
+            _instr_key(instrs))
+
+
+class UnspliceableChain(ValueError):
+    """A chain the inline emitter cannot fuse into one megablock; the
+    chain linker leaves its head on the fused tier."""
 
 
 class Translator:
@@ -301,24 +319,73 @@ class Translator:
         as the oracle.
         """
         instrs = self._decode_block(pc)
-        key = _block_key(pc, instrs, flavor, codegen)
+        namespace = dict(self._env_base)
+        if codegen is None:
+            tier = check_flavor = flavor
+            generate = partial(self._generate, pc, instrs, flavor)
+        else:
+            namespace.update(codegen.env())
+            tier = f"fused-{codegen.flavor}"
+            check_flavor = codegen.flavor
+            generate = partial(self._generate_fused, pc, instrs, codegen)
+        fn = self._jit(
+            _block_key(pc, instrs, flavor, codegen), pc, tier, flavor,
+            namespace, generate,
+            lambda source: _verify_block(source, pc, instrs,
+                                         check_flavor))
+        return TranslatedBlock(pc, fn, len(instrs),
+                               block_pages(pc, len(instrs)))
+
+    def translate_chain(self, fragments, loop_back: bool, codegen,
+                        env: dict) -> Callable:
+        """Compile one megablock over resident fused ``fragments``.
+
+        The fragments are re-decoded and spliced by
+        :meth:`generate_chain`, then compiled through the same
+        cache-miss path as :meth:`translate` (sanitizer flavour
+        ``"mega"``).  ``env`` carries the chain linker's own names
+        (``VS``, ``IRQ``, ``GEN``) over the translator and codegen
+        environment.  Raises :class:`UnspliceableChain` when a
+        fragment's code no longer decodes to its translated length or
+        the emitter cannot splice it.
+        """
+        frags = [(block.pc, self._decode_block(block.pc))
+                 for block in fragments]
+        if any(len(instrs) != block.length
+               for block, (_pc, instrs) in zip(fragments, frags)):
+            raise UnspliceableChain("decode no longer matches the "
+                                    "translated fragment")
+        key = ("mega-inline", codegen.cache_key, loop_back,
+               tuple((pc, _instr_key(instrs)) for pc, instrs in frags))
+        namespace = dict(self._env_base)
+        namespace.update(codegen.env())
+        namespace.update(env)
+        return self._jit(
+            key, frags[0][0], "megablock", "mega", namespace,
+            lambda: self.generate_chain(frags, loop_back, codegen),
+            lambda source: _verify_chain(source, frags, loop_back,
+                                         codegen.flavor))
+
+    def _jit(self, key: tuple, pc: int, tier: str, flavor: str,
+             namespace: dict, generate: Callable[[], str],
+             verify: Callable[[str], None]) -> Callable:
+        """The one compile path for blocks and megablocks.
+
+        On a host code-cache miss: generate the source, sanitize it
+        against ``namespace`` under ``flavor``, run the verify seam,
+        ``compile()``, attribute the time to ``tier`` in the profiler
+        and cache ``(code, source)`` under ``key``.  Hit or miss, the
+        code is ``exec``'d in ``namespace`` and its ``_block`` returned.
+        """
         profiler = _profiler()
         profiling = profiler.profiling_enabled()
-        tier = flavor if codegen is None else f"fused-{codegen.flavor}"
         cached = _CODE_CACHE.get(key)
         if cached is None:
             started = profiler.now() if profiling else 0.0
-            if codegen is not None:
-                source = self._generate_fused(pc, instrs, codegen)
-            else:
-                source = self._generate(pc, instrs, flavor)
-            env_names = set(self._env_base)
-            if codegen is not None:
-                env_names.update(codegen.env())
-            _sanitize(source, env_names, flavor)
-            _verify_block(source, pc, instrs,
-                          flavor if codegen is None else codegen.flavor)
-            code = compile(source, f"<block 0x{pc:x} {flavor}>", "exec")
+            source = generate()
+            _sanitize(source, set(namespace), flavor)
+            verify(source)
+            code = compile(source, f"<{tier} 0x{pc:x}>", "exec")
             if profiling:
                 profiler.record_translation(
                     pc, tier, profiler.now() - started,
@@ -329,15 +396,11 @@ class Translator:
         else:
             code, source = cached
         self.last_source = source
-        namespace = dict(self._env_base)
-        if codegen is not None:
-            namespace.update(codegen.env())
         exec(code, namespace)  # noqa: S102 - this *is* the JIT
         fn = namespace["_block"]
         if profiling:
             fn = profiler.wrap_block(fn, pc, tier)
-        return TranslatedBlock(pc, fn, len(instrs),
-                               block_pages(pc, len(instrs)))
+        return fn
 
     def _decode_block(self, pc: int) -> List[Instr]:
         instrs: List[Instr] = []
@@ -713,9 +776,10 @@ class Translator:
         epilogue writes the model state back (``retire`` expression
         ``_base + _n``) and the fault re-raises.
 
-        Raises ``ValueError`` for fragments the glue cannot bridge
-        (dynamic ring addressing); the caller falls back to the
-        call-threaded chain form.
+        Raises :class:`UnspliceableChain` for fragments the glue cannot
+        bridge: in timed mode, one that overflows a core buffer (fetch
+        queue, ROB, load or store buffer) and so needs dynamic ring
+        addressing.  The caller leaves the head on the fused tier.
         """
         emitters = [codegen.begin(pc, instrs) for pc, instrs in frags]
         timed = emitters[0].timed
@@ -723,8 +787,9 @@ class Translator:
             for emitter in emitters:
                 if not (emitter.fq_static and emitter.rob_static
                         and emitter.ld_static and emitter.st_static):
-                    raise ValueError("fragment uses dynamic ring "
-                                     "addressing; cannot inline-fuse")
+                    raise UnspliceableChain("fragment uses dynamic ring "
+                                            "addressing; cannot "
+                                            "inline-fuse")
         has_load = any(e.has_load for e in emitters)
         has_store = any(e.has_store for e in emitters)
         # Union-flag prototype emitters over the head block: one carries
@@ -774,7 +839,6 @@ class Translator:
         lines.append("    while 1:")
         ind = "        "
         bind = "            "
-        flavor = codegen.flavor
         # A single-fragment loop chain (by far the common shape: a hot
         # guest loop whose body is one superblock) needs no per-
         # iteration dispatch counter — every completed iteration is one
@@ -841,9 +905,8 @@ class Translator:
                 lines.extend(ind + text for text in clean_exit)
                 lines.append(f"{ind}break")
                 continue
-            for text in chain_exit_stub(
-                    flavor, succ, on_break=clean_exit,
-                    budget_test=f"_base >= _lim{length}"):
+            for text in chain_exit_stub(succ, f"_base >= _lim{length}",
+                                        on_break=clean_exit):
                 lines.append(ind + text)
             lines.append(f"{ind}_base = _base + {length}")
             if track_icount:

@@ -9,14 +9,12 @@ semantics — zero diffs, across every tier the VM can emit.
 import pytest
 
 from repro.analysis.symexec import (verify_block_source,
-                                    verify_inline_chain,
-                                    verify_threaded_chain)
+                                    verify_inline_chain)
 from repro.isa import assemble
 from repro.kernel import boot
 from repro.timing import OutOfOrderCore, TimingConfig
 from repro.timing.codegen import TimedBlockCodegen, WarmingBlockCodegen
 from repro.timing.warming import FunctionalWarmingSink
-from repro.vm.chain import emit_chain_source
 
 MASK64 = (1 << 64) - 1
 
@@ -236,33 +234,5 @@ def test_inline_chains_verify(translated):
                     if diffs:
                         _fail(f"{name}:chain2-{flavor} lb={loop_back}",
                               diffs, source)
-                    checked += 1
-    assert checked >= len(PROGRAMS)
-
-
-def test_threaded_chains_verify(translated):
-    checked = 0
-    for name, _, blocks, _, _ in translated:
-        items = [(pc, len(instrs)) for pc, instrs in blocks]
-        for pc, instrs in _loop_blocks(blocks):
-            for flavor in ("event", "timed", "warm"):
-                source = emit_chain_source([(pc, len(instrs))], True,
-                                           flavor)
-                diffs = verify_threaded_chain(
-                    source, [(pc, len(instrs))], True)
-                if diffs:
-                    _fail(f"{name}:thread1-{flavor}@{pc:#x}", diffs,
-                          source)
-                checked += 1
-        if len(items) >= 2:
-            chain = items[:2]
-            for loop_back in (False, True):
-                for flavor in ("event", "timed", "warm"):
-                    source = emit_chain_source(chain, loop_back, flavor)
-                    diffs = verify_threaded_chain(source, chain,
-                                                  loop_back)
-                    if diffs:
-                        _fail(f"{name}:thread2-{flavor} "
-                              f"lb={loop_back}", diffs, source)
                     checked += 1
     assert checked >= len(PROGRAMS)

@@ -1,8 +1,8 @@
 """Mutation self-check: seeded codegen bugs the verifier must catch.
 
 Each mutant takes a real generated source (a loop-form fast block with
-symbolic registers, or a direct-threaded megablock chain) and seeds one
-semantic bug on a live path — a dropped register write, an off-by-one
+symbolic registers, or an inline megablock from the timed and the
+warming codegen) and seeds one semantic bug on a live path — a dropped register write, an off-by-one
 in the instruction accounting, a missing exit-stub guard.  The verifier
 must flag every one with at least one diff; a mutant that verifies
 clean would mean the proof has a blind spot.
@@ -16,10 +16,12 @@ verifying it clean is correct, not a miss.
 import pytest
 
 from repro.analysis.symexec import (verify_block_source,
-                                    verify_threaded_chain)
+                                    verify_inline_chain)
 from repro.isa import assemble
 from repro.kernel import boot
-from repro.vm.chain import emit_chain_source
+from repro.timing import OutOfOrderCore, TimingConfig
+from repro.timing.codegen import TimedBlockCodegen, WarmingBlockCodegen
+from repro.timing.warming import FunctionalWarmingSink
 
 LOOP = """
 _start:
@@ -41,13 +43,6 @@ def loop_block():
     instrs = tr._decode_block(pc)
     source = tr._generate(pc, instrs, "fast")
     return pc, instrs, source
-
-
-@pytest.fixture(scope="module")
-def threaded_chain(loop_block):
-    pc, instrs, _ = loop_block
-    chain = [(pc, len(instrs))]
-    return chain, emit_chain_source(chain, True, "event")
 
 
 def mutate(source, old, new):
@@ -84,33 +79,86 @@ def test_pristine_block_still_clean(loop_block):
     assert verify_block_source(source, pc, instrs, "fast") == []
 
 
+#: a two-fragment looped chain: ``loop`` (LW/ADDI/SW/BLT) branches to
+#: ``tail`` (ADDI/RDINSTR), which falls through back into ``loop``.  The
+#: memory ops make the fault stub live, RDINSTR the icount bookkeeping,
+#: the symbolic branch the successor guard, two fragments the ``_d``
+#: dispatch counter.
+CHAIN = """
+_start:
+    li s0, 4096
+    li s1, 5000
+    j loop
+tail:
+    addi s2, s2, 1
+    rdinstr t1
+loop:
+    lw t0, 0(s0)
+    addi t0, t0, 1
+    sw t0, 0(s0)
+    blt t0, s1, tail
+    halt
+"""
+
+
+@pytest.fixture(scope="module")
+def inline_chains():
+    """``{shape: {codegen flavor: (frags, source)}}`` built by the
+    translator's inline emitter; ``halt`` is a one-block HALT
+    self-loop, the only shape where ``state.halted`` can be true."""
+    system = boot(assemble(CHAIN))
+    tr = system.machine.translator
+    entry = system.machine.state.pc
+    loop, tail, halt = entry + 20, entry + 12, entry + 36
+    shapes = {"loop": [(loop, tr._decode_block(loop)),
+                       (tail, tr._decode_block(tail))],
+              "halt": [(halt, tr._decode_block(halt))]}
+    assert [i.op.name for i in shapes["halt"][0][1]] == ["HALT"]
+    codegens = {
+        "timed": TimedBlockCodegen(OutOfOrderCore(TimingConfig.small())),
+        "warm": WarmingBlockCodegen(
+            FunctionalWarmingSink(OutOfOrderCore(TimingConfig.small()))),
+    }
+    chains = {shape: {name: (frags, tr.generate_chain(frags, True, cg))
+                      for name, cg in codegens.items()}
+              for shape, frags in shapes.items()}
+    return chains, {"loop": loop, "tail": tail}
+
+
+#: class -> (chain shape, anchor, replacement); anchors name the first
+#: exit stub (after ``loop``) and the first fragment's fault handler
 CHAIN_MUTANTS = {
-    "missing-halt-guard": (" or state.halted", ""),
-    "missing-generation-guard": (" or _gen[0] != _g0", ""),
-    "missing-irq-guard": (" or _irq", ""),
-    "missing-successor-guard": ("state.pc != 4104 or ", ""),
-    "budget-guard-flipped": ("n >= budget", "n > budget"),
-    "icount-not-rewound": ("    state.icount -= n\n    VS",
-                           "    VS"),
-    "dispatch-count-off": ("VS.block_dispatches += d - 1",
-                           "VS.block_dispatches += d"),
-    "fault-pc-not-restored": (
-        "state.pc = 4104 + ((state.block_progress % 3) * 4)",
-        "pass"),
+    "missing-halt-guard": ("halt", " or state.halted", ""),
+    "missing-generation-guard": ("loop", " or _gen[0] != _g0", ""),
+    "missing-irq-guard": ("loop", " or _irq", ""),
+    "missing-successor-guard": ("loop", "state.pc != {tail} or ", ""),
+    "budget-guard-flipped": ("loop", "_base >= _lim4", "_base > _lim4"),
+    "icount-not-rewound": ("loop",
+                           "    state.icount = state.icount - _base\n",
+                           ""),
+    "dispatch-count-off": ("loop", "VS.block_dispatches + _d - 1",
+                           "VS.block_dispatches + _d"),
+    "fault-pc-not-restored": ("loop",
+                              "state.pc = {loop} + ((_n % 4) * 4)",
+                              "pass"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(CHAIN_MUTANTS))
-def test_chain_mutant_caught(threaded_chain, name):
-    chain, source = threaded_chain
-    old, new = CHAIN_MUTANTS[name]
-    diffs = verify_threaded_chain(mutate(source, old, new), chain, True)
-    assert diffs, f"verifier missed seeded bug {name}"
+def test_chain_mutant_caught(inline_chains, name):
+    chains, pcs = inline_chains
+    shape, old, new = CHAIN_MUTANTS[name]
+    for flavor, (frags, source) in chains[shape].items():
+        mutant = mutate(source, old.format(**pcs), new)
+        diffs = verify_inline_chain(mutant, frags, True)
+        assert diffs, f"verifier missed seeded bug {name} ({flavor})"
 
 
-def test_pristine_chain_still_clean(threaded_chain):
-    chain, source = threaded_chain
-    assert verify_threaded_chain(source, chain, True) == []
+def test_pristine_chain_still_clean(inline_chains):
+    chains, _ = inline_chains
+    for by_flavor in chains.values():
+        for frags, source in by_flavor.values():
+            assert verify_inline_chain(source, frags, True) == []
 
 
 def test_diff_carries_minimized_trace(loop_block):

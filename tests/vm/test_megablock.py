@@ -2,7 +2,8 @@
 
 The trace-linked tier above fused superblocks (``repro.vm.chain``):
 hot heads record their observed successors and are re-emitted as
-chained megablocks with direct-threaded exits.  The contract under
+megablocks: the chain's fused bodies spliced into one function with
+guarded exits.  The contract under
 test is the equivalence contract from the module docstring — results
 are bit-identical with the tier on or off (``REPRO_MEGABLOCKS=0``),
 including ``block_dispatches``, the full VM-stat snapshot and the
@@ -12,9 +13,6 @@ whose fragments they hit, bump the generation epoch, and the head
 re-earns promotion afterwards.
 """
 
-import pytest
-
-from repro.analysis.sanitizer import SanitizerError, sanitize_block_source
 from repro.isa import assemble
 from repro.kernel import boot
 from repro.mem import PAGE_SHIFT
@@ -35,8 +33,9 @@ loop:
 """
 
 
-def chained_machine(mega=True, fast_threshold=4, mega_threshold=8):
-    system = boot(assemble(LOOP_SOURCE))
+def chained_machine(mega=True, fast_threshold=4, mega_threshold=8,
+                    source=LOOP_SOURCE):
+    system = boot(assemble(source))
     machine = system.machine
     machine.megablocks = mega
     core = OutOfOrderCore(TimingConfig.small())
@@ -134,29 +133,43 @@ def test_megablocks_env_switch(monkeypatch):
     assert boot(assemble("halt")).machine.megablocks is True
 
 
-def test_call_threaded_fallback_bit_identical(monkeypatch):
-    # force the inline-fusion strategy to fail the way a non-spliceable
-    # fragment does (ValueError): the linker must fall back to call
-    # threading through the compiled closures, with identical results
+#: a hot timed loop whose body is one block of 19 instructions — one
+#: more than the 18-entry fetch queue of ``TimingConfig.small()``
+WIDE_LOOP_SOURCE = """
+_start:
+    li s0, 0
+    li s1, 300
+loop:
+""" + "    addi s2, s2, 1\n" * 17 + """    addi s0, s0, 1
+    blt s0, s1, loop
+    halt
+"""
+
+
+def test_unspliceable_head_stays_fused(monkeypatch):
+    # a timed fragment that overflows the fetch queue needs dynamic
+    # ring addressing, which the inline emitter cannot splice: no chain
+    # is built, the head keeps running from the fused cache, and the
+    # results match the tier switched off
     monkeypatch.setattr(translator_module, "_CODE_CACHE", {})
-    system, machine, core = chained_machine()
-
-    def not_spliceable(*args, **kwargs):
-        raise ValueError("fragment cannot be spliced")
-
-    monkeypatch.setattr(machine.translator, "generate_chain",
-                        not_spliceable)
-    total = run_chunked(system, machine, core)
-    linker = the_linker(machine, core)
-    assert linker.chains_built > 0
-    assert any(key[0] == "mega"
-               for key in translator_module._CODE_CACHE), \
-        "fallback never compiled a call-threaded chain"
-    assert not any(key[0] == "mega-inline"
-                   for key in translator_module._CODE_CACHE)
-    threaded = fingerprint(machine, core, total)
-    without, _ = run_loop(mega=False)
-    assert threaded == without
+    runs = {}
+    for mega in (True, False):
+        system, machine, core = chained_machine(
+            mega=mega, source=WIDE_LOOP_SOURCE)
+        head = machine.state.pc + 8  # the loop: block, past the li's
+        total = run_chunked(system, machine, core)
+        runs[mega] = fingerprint(machine, core, total)
+        if mega:
+            linker = the_linker(machine, core)
+            _sink, _codegen, cache, _counts = \
+                machine._fast_bindings[id(core)]
+            assert linker.chains_built == 0
+            assert not linker.mega
+            assert head in cache
+            assert cache.get(head).length == 19
+            assert not any(key[0] == "mega-inline"
+                           for key in translator_module._CODE_CACHE)
+    assert runs[True] == runs[False]
 
 
 # ----------------------------------------------------------------------
@@ -196,43 +209,6 @@ def test_smc_unlink_is_range_precise():
     assert head in linker.mega
     assert linker.invalidate_address(vpn, head) == 1
     assert head not in linker.mega
-
-
-# ----------------------------------------------------------------------
-# sanitizer: the chained-dispatch call form
-
-CHAIN_ENV = ("state", "budget", "GuestFault", "VS", "IRQ", "GEN",
-             "_chain0", "_chain1")
-
-
-def chain_source(call):
-    return (f"def _block(state, budget):\n"
-            f"    n = {call}\n"
-            f"    return n\n")
-
-
-def test_sanitizer_accepts_canonical_chain_call():
-    sanitize_block_source(chain_source("_chain0(state, budget)"),
-                          CHAIN_ENV, "mega")
-    sanitize_block_source(chain_source("_chain1(state, budget - n)"),
-                          CHAIN_ENV, "mega")
-
-
-@pytest.mark.parametrize("call", (
-    "_chain0(budget, state)",          # wrong receiver position
-    "_chain0(state)",                  # missing budget
-    "_chain0(state, budget, 1)",       # extra positional
-    "_chain0(state, budget=budget)",   # keyword form
-))
-def test_sanitizer_rejects_malformed_chain_calls(call):
-    with pytest.raises(SanitizerError, match="chained dispatch"):
-        sanitize_block_source(chain_source(call), CHAIN_ENV, "mega")
-
-
-def test_sanitizer_rejects_unknown_chain_name():
-    with pytest.raises(SanitizerError, match="unknown name"):
-        sanitize_block_source(chain_source("_chain7(state, budget)"),
-                              CHAIN_ENV, "mega")
 
 
 # ----------------------------------------------------------------------
