@@ -6,8 +6,11 @@ Two halves share this package:
   (:mod:`.metrics`, :mod:`.pareto`, :mod:`.reporting`);
 * static analysis — the custom AST lint engine enforcing the
   determinism invariants (:mod:`.lint`, :mod:`.rules`,
-  :mod:`.baseline`) and the generated-superblock sanitizer
-  (:mod:`.sanitizer`) the translator runs before ``compile()``.
+  :mod:`.baseline`) and the one codegen checker the translator runs
+  on every fresh source before ``compile()``: the gate in
+  :mod:`.sanitizer` over the symbolic verifier (:mod:`.symexec`),
+  which proves the source against its ISA semantics and enforces the
+  safety rules of generated code.
 """
 
 from .baseline import Baseline, BaselineEntry, load_baseline, write_baseline

@@ -54,7 +54,7 @@ TELEMETRY_FILES: Tuple[str, ...] = ("obs/telemetry.py",
 #: modules allowed to call compile()/exec(): the DBT is the one
 #: sanctioned JIT — blocks and megablocks alike compile through its
 #: single cache-miss path, and everything it compiles is vetted by the
-#: superblock sanitizer (repro.analysis.sanitizer)
+#: translate-time gate (repro.analysis.sanitizer)
 SANCTIONED_DYNAMIC_CODE: FrozenSet[str] = frozenset({
     "vm/translator.py",
 })

@@ -22,23 +22,26 @@ function equivalent to the ISA semantics of its decoded instructions:
    the megablock exit-stub guard contract (next-pc, budget, halted,
    pending-IRQ and generation-epoch atoms, in order).
 
-Three consumers: ``python -m repro verify-codegen`` (the corpus
-driver in :mod:`.verifyreport`), the opt-in ``REPRO_VERIFY=1`` deep
-check at the translator seam (:func:`hook_block`,
-:func:`hook_inline_chain` — layered above the syntactic sanitizer and
-sharing its counter conventions),
-and the mutation self-check tests, which seed deliberate codegen bugs
-and assert every one produces a diff.
+:class:`_Exec` also enforces the safety rules of generated code (the
+``_rule_*`` methods), each a check on one AST node, applied where the
+node is evaluated and again over every statement no path reaches.
+
+Consumers: the translate-time gate
+(:func:`repro.analysis.sanitizer.sanitize_block_source`, which every
+freshly generated source passes before ``compile()``),
+``python -m repro verify-codegen`` (the corpus driver in
+:mod:`.verifyreport`, fed by :func:`capture`), and the mutation
+self-check tests, which seed deliberate codegen bugs and assert every
+one produces a diff.
 """
 
 from __future__ import annotations
 
 import ast
-import os
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import (Any, Dict, Iterator, List, Optional, Sequence,
-                    Tuple)
+from typing import (AbstractSet, Any, Collection, Dict, FrozenSet,
+                    Iterator, List, NoReturn, Optional, Sequence, Tuple)
 
 from repro.isa import Instr, Op
 
@@ -52,11 +55,8 @@ from .symstate import (MASK64, ExitDiff, ExitSummary, SymState, Term,
                        t_or, t_rshift, t_sub)
 
 __all__ = [
-    "ProtocolError", "VerifyError", "Captured",
-    "verify_block_source", "verify_inline_chain",
-    "hook_block", "hook_inline_chain",
-    "verifier_enabled", "verifier_active", "capture",
-    "stats", "reset_stats",
+    "ProtocolError", "Captured",
+    "verify_block_source", "verify_inline_chain", "capture", "record",
 ]
 
 #: guest-memory helper names in the translation environment
@@ -70,6 +70,28 @@ _SEM_HELPERS = frozenset({
     "fmin2", "fmax2", "f2i", "float", "abs",
 })
 _TRAP_NAMES = ("SyscallTrap", "BreakpointTrap")
+
+#: builtins generated code may call (value producers only, no I/O)
+ALLOWED_BUILTINS = frozenset({"abs", "float", "int", "len"})
+#: list methods generated code calls on opaque timing state (LRU ways)
+LIST_MUTATORS = frozenset({"insert", "remove", "pop", "append", "clear"})
+
+#: the statement and expression forms the interpreter models; anything
+#: else (imports, nested defs, lambdas, comprehensions, ``with``,
+#: f-strings, ...) is rejected wherever it appears
+_STMTS = (ast.Assign, ast.AugAssign, ast.Expr, ast.Return, ast.Raise,
+          ast.If, ast.While, ast.Try, ast.Break, ast.Continue, ast.Pass)
+_EXPRS = (ast.Constant, ast.Name, ast.Attribute, ast.Subscript,
+          ast.BinOp, ast.UnaryOp, ast.BoolOp, ast.Compare, ast.IfExp,
+          ast.Tuple, ast.Call)
+#: term tags naming a machine object rather than a value: a fork that
+#: leaves one of these in a local cannot be merged into an opaque
+_REF_TAGS = frozenset({"state", "regs", "fregs", "sinkfn", "env"})
+#: an unreached local's value when its bindings disagree or the syntax
+#: does not tell: neither timing state nor the event sink
+_UNKNOWN: Term = ("unknown",)
+#: environment names the evaluator reads as more than opaque state
+_MODELED_ENV = frozenset({"VS", "SINK"})
 
 _BINOPS: Dict[type, Any] = {
     ast.Add: t_add, ast.Sub: t_sub, ast.Mult: t_mul,
@@ -90,22 +112,8 @@ Outcome = Tuple[Any, ...]
 class ProtocolError(Exception):
     """The generated source violates a structural invariant the
     executor relies on (an unknown statement form, a loop where none
-    belongs...).  Itself a finding: the
-    verifier reports it as a diff rather than crashing."""
-
-
-class VerifyError(Exception):
-    """Raised by the ``REPRO_VERIFY=1`` deep-check hooks on a diff."""
-
-    def __init__(self, label: str, diffs: List[ExitDiff],
-                 source: str) -> None:
-        self.label = label
-        self.diffs = diffs
-        self.source = source
-        body = "\n".join(d.format() for d in diffs)
-        super().__init__(
-            f"generated code for {label} diverges from the ISA "
-            f"reference semantics ({len(diffs)} diff(s)):\n{body}")
+    belongs...) or a safety rule.  Itself a finding: the verifier
+    reports it as a diff rather than crashing."""
 
 
 # ----------------------------------------------------------------------
@@ -143,68 +151,129 @@ def _arch_equal(a: SymState, b: SymState) -> bool:
 def _merge(a: SymState, b: SymState) -> Optional[SymState]:
     """Join the two arms of a timing-only fork; locals that diverged
     become fresh opaques (they never reach architectural state — if
-    one does later, the opaque surfaces in the summary diff)."""
+    one does later, the opaque surfaces in the summary diff).  A local that
+    names a machine object in either arm keeps the paths apart, so no
+    alias of the register file or ``state`` turns opaque."""
     if not _arch_equal(a, b):
         return None
     out = a.clone()
     out.conds.pop()
     for name in set(a.locs) | set(b.locs):
-        if a.locs.get(name) != b.locs.get(name):
-            out.locs[name] = fresh_opaque(f"phi.{name}")
+        left, right = a.locs.get(name), b.locs.get(name)
+        if left != right:
+            if _is_ref(left) or _is_ref(right):
+                return None
+            out.locs[name] = fresh_opaque(_phi_label(name, left, right))
     return out
+
+
+def _phi_label(name: str, left: Term, right: Term) -> str:
+    """A merged local still reads from the name both arms read it from
+    (a way list off ``L1DW`` on either arm stays timing state); an arm
+    that leaves it unbound does not count."""
+    roots = {_opaque_root(term) if _is_opaque(term) else None
+             for term in (left, right) if term is not None}
+    root = roots.pop() if len(roots) == 1 else None
+    return f"?phi.{name}" if root is None else f"{root}.phi"
+
+
+def _is_ref(term: Term) -> bool:
+    return isinstance(term, tuple) and bool(term) and term[0] in _REF_TAGS
+
+
+def _is_opaque(term: Term) -> bool:
+    return isinstance(term, tuple) and term[:1] == ("opaque",)
+
+
+def _opaque_root(term: Term) -> str:
+    """The name an opaque value was first read from (``ITLBW`` for
+    ``ITLBW[0]``, ``L1IW[1].x`` ...); values not read off a name get
+    labels that are no identifier (``?.x``, ``?item``, ``len()`` ...)."""
+    return term[1].split(".")[0].split("[")[0]
 
 
 # ----------------------------------------------------------------------
 # the abstract interpreter
 
-class _Exec:
-    """Symbolically execute one generated ``_block`` function."""
+def _reg_index(index: Term, node: ast.AST) -> int:
+    if not isinstance(index, int):
+        raise ProtocolError(
+            f"dynamic register index at line {getattr(node, 'lineno', 0)}")
+    return index
 
-    def __init__(self, source: str, kind: Any) -> None:
+
+def _block_function(tree: ast.Module) -> ast.FunctionDef:
+    """The module's one ``def _block(state, budget)``, exactly."""
+    body = tree.body
+    if (len(body) != 1 or not isinstance(body[0], ast.FunctionDef)
+            or body[0].name != "_block"):
+        raise ProtocolError("module must be exactly one "
+                            "'def _block(state, budget)'")
+    fn = body[0]
+    args = fn.args
+    if ([arg.arg for arg in args.args] != ["state", "budget"]
+            or args.posonlyargs or args.kwonlyargs or args.vararg
+            or args.kwarg or args.defaults or fn.decorator_list
+            or fn.returns is not None
+            or any(arg.annotation is not None for arg in args.args)):
+        raise ProtocolError("_block signature must be exactly "
+                            "(state, budget) with no decorators, "
+                            "defaults or annotations")
+    return fn
+
+
+def _match_handler(handlers: Sequence[Tuple[List[str], ast.ExceptHandler]],
+                   exc: Term) -> Optional[ast.ExceptHandler]:
+    for names, handler in handlers:
+        # traps subclass GuestFault in repro.mem.faults
+        if "GuestFault" in names or (exc[0] == "trap" and exc[1] in names):
+            return handler
+    return None
+
+
+class _Exec:
+    """Symbolically execute one generated ``_block`` function against
+    ``env``, the names of the globals the code runs with."""
+
+    def __init__(self, source: str, kind: Any,
+                 env: AbstractSet[str]) -> None:
         self.source = source
         self.lines = source.splitlines()
         self.kind = kind
+        self.env = env
         self._faults: List[Tuple[SymState, Term]] = []
         self._backedges: List[SymState] = []
         self._loop_done = False
+        #: ids of the statements and handlers some path executed, and
+        #: the node lists a path skipped (a folded arm, code after a
+        #: return, every handler): their unexecuted nodes are unreached
+        self._reached: set = set()
+        self._skipped: List[Sequence[ast.AST]] = []
 
     # -- entry ----------------------------------------------------------
 
     def run(self) -> List[Tuple[ExitSummary,
                                 Tuple[Tuple[int, str], ...]]]:
-        tree = ast.parse(self.source)
-        if len(tree.body) != 1 or not isinstance(tree.body[0],
-                                                 ast.FunctionDef):
-            raise ProtocolError("expected a single _block function")
-        fn = tree.body[0]
-        if fn.name != "_block":
-            raise ProtocolError(f"unexpected function name {fn.name!r}")
-        params = [arg.arg for arg in fn.args.args]
-        if params != ["state", "budget"]:
-            raise ProtocolError(
-                f"unexpected signature _block({', '.join(params)})")
+        fn = _block_function(ast.parse(self.source))
         st = entry_state(self.kind.pc_entry)
+        st.locs["state"] = ("state",)
         results = []
+        finals: List[SymState] = []
         for out in self.run_stmts(st, fn.body):
             if out[0] == "return":
-                summary = self._summ(out[1], "return", executed=out[2])
+                summary = self.kind.summary(out[1], "return", out[2])
             elif out[0] == "raise":
-                summary = self._summ(out[1], "raise", exc=out[2])
+                summary = self.kind.summary(out[1], "raise", exc=out[2])
             else:
                 raise ProtocolError(
                     f"control fell off the function end ({out[0]})")
             results.append((summary, tuple(out[1].trace)))
+            finals.append(out[1])
         for state in self._backedges:
-            results.append((self._summ(state, "backedge"),
+            results.append((self.kind.summary(state, "backedge"),
                             tuple(state.trace)))
+        self._check_unreached(finals + self._backedges)
         return results
-
-    def _summ(self, st: SymState, kind: str,
-              executed: Optional[Term] = None,
-              exc: Optional[Term] = None) -> ExitSummary:
-        return summarize(
-            st, kind, executed, exc,
-            tracked_locals=self.kind.tracked_locals)
 
     def _note(self, st: SymState, node: ast.AST) -> None:
         lineno = getattr(node, "lineno", 0)
@@ -212,23 +281,183 @@ class _Exec:
                 if 0 < lineno <= len(self.lines) else "?")
         st.trace.append((lineno, text))
 
+    # -- safety rules ---------------------------------------------------
+    #
+    # One check per node kind.  ``locs`` maps the locals in scope to
+    # their terms: the path's own where the node is evaluated; for an
+    # unreached node, one term per name joined over every binding any
+    # path or the unreached code itself makes (:meth:`_dead_scope`).
+
+    @staticmethod
+    def _reject(node: ast.AST, why: str) -> NoReturn:
+        raise ProtocolError(f"line {getattr(node, 'lineno', '?')}: {why}")
+
+    def _timing_state(self, term: Term) -> bool:
+        """An opaque value read out of an environment name (an LRU way
+        list, say) — never the register file, ``state`` or a value
+        derived from either."""
+        return _is_opaque(term) and _opaque_root(term) in self.env
+
+    def _rule_name(self, node: ast.Name, locs: Collection[str]) -> None:
+        name = node.id
+        if (isinstance(node.ctx, ast.Load) and name not in locs
+                and name not in ALLOWED_BUILTINS and name not in self.env):
+            self._reject(node, f"read of unknown name {name!r}")
+
+    def _rule_attribute(self, node: ast.Attribute,
+                        locs: Collection[str]) -> None:
+        if node.attr.startswith("__"):
+            self._reject(node, f"dunder attribute {node.attr!r}")
+        if isinstance(node.ctx, ast.Store):
+            base = node.value
+            if not (isinstance(base, ast.Name)
+                    and (base.id == "state" or (
+                        base.id not in locs and base.id in self.env))):
+                self._reject(node, f"attribute write to "
+                             f"{ast.unparse(node)!r} outside "
+                             "machine/timing state roots")
+
+    def _rule_subscript(self, node: ast.Subscript,
+                        locs: Collection[str]) -> None:
+        base = node.value
+        if isinstance(node.ctx, ast.Store) and not (
+                isinstance(base, ast.Name)
+                and (base.id in locs or base.id in self.env)):
+            self._reject(node, f"subscript write to {ast.unparse(node)!r}"
+                         " outside block locals / environment arrays")
+
+    def _rule_call(self, node: ast.Call, locs: Dict[str, Term]) -> None:
+        func = node.func
+        if node.keywords:
+            self._reject(node, "keyword arguments")
+        if isinstance(func, ast.Name):
+            if func.id not in locs:
+                self._rule_name(func, locs)
+            elif locs[func.id] != ("sinkfn",):
+                self._reject(node, f"call through local {func.id!r}, "
+                             "which is not the event sink")
+        elif isinstance(func, ast.Attribute):
+            base = func.value
+            if not (isinstance(base, ast.Name) and base.id in locs
+                    and func.attr in LIST_MUTATORS
+                    and self._timing_state(locs[base.id])):
+                self._reject(node, f"method call {ast.unparse(func)}() "
+                             "is not a list mutator on timing state")
+        else:
+            self._reject(node, f"call through {type(func).__name__} "
+                         "expression")
+
+    def _rule_choice(self, node: ast.expr, options: Sequence[Term]) -> None:
+        """A value picked at run time (a symbolic tuple index, ``if``
+        expression or ``and``/``or``) must not be a machine object: the
+        pick would alias the register file or ``state`` unseen."""
+        if any(_is_ref(option) and option[0] != "env"
+               for option in options):
+            self._reject(node, "symbolic choice between machine objects")
+
+    def _rule_raise(self, node: ast.Raise, locs: Collection[str]) -> None:
+        exc = node.exc
+        held = isinstance(exc, ast.Name) and exc.id in locs
+        trap = (isinstance(exc, ast.Call) and isinstance(exc.func, ast.Name)
+                and exc.func.id not in locs and exc.func.id in self.env)
+        if not (held or trap) or node.cause is not None:
+            self._reject(node, "raise of a non-environment exception")
+
+    def _handler_names(self, handler: ast.ExceptHandler) -> List[str]:
+        kind = handler.type
+        elts = kind.elts if isinstance(kind, ast.Tuple) else [kind]
+        for elt in elts:
+            if not (isinstance(elt, ast.Name) and elt.id in self.env):
+                self._reject(handler, "except clause over a "
+                             "non-environment exception type")
+        return [elt.id for elt in elts]
+
+    def _dead_scope(self, nodes: Sequence[ast.AST],
+                    states: Sequence[SymState]) -> Dict[str, Term]:
+        """Each local an unreached node may see, as one term joined over
+        every binding a path or the unreached code makes: the term they
+        agree on, timing state if all are (an unreached ``_w = ITLBW[0]``
+        is), else :data:`_UNKNOWN`."""
+        terms: Dict[str, List[Term]] = {}
+        for state in states:
+            for name, term in state.locs.items():
+                terms.setdefault(name, []).append(term)
+        values = {id(target): node.value for node in nodes
+                  if isinstance(node, ast.Assign) for target in node.targets}
+        stores = [(node.id, values.get(id(node))) for node in nodes
+                  if isinstance(node, ast.Name)
+                  and isinstance(node.ctx, ast.Store)]
+        stores += [(node.name, None) for node in nodes
+                   if isinstance(node, ast.ExceptHandler) and node.name]
+        env = self.env - _MODELED_ENV - set(terms) - {n for n, _ in stores}
+        for name, value in stores:
+            root = value
+            while isinstance(root, (ast.Attribute, ast.Subscript)):
+                root = root.value
+            terms.setdefault(name, []).append(
+                fresh_opaque(root.id) if root is not value
+                and isinstance(root, ast.Name) and root.id in env
+                else _UNKNOWN)
+        scope: Dict[str, Term] = {}
+        for name, bound in terms.items():
+            agreed = (all(term == bound[0] for term in bound)
+                      or all(self._timing_state(term) for term in bound))
+            scope[name] = bound[0] if agreed else _UNKNOWN
+        return scope
+
+    def _check_unreached(self, states: Sequence[SymState]) -> None:
+        """The safety rules over every statement no path reached."""
+        dead = {id(node): node for block in self._skipped
+                for node in block if id(node) not in self._reached}
+        if not dead:
+            return
+        nodes = [node for root in dead.values() for node in ast.walk(root)]
+        scope = self._dead_scope(nodes, states)
+        for node in nodes:
+            if isinstance(node, ast.stmt):
+                if not isinstance(node, _STMTS):
+                    self._reject(node, "unsupported statement "
+                                 f"{type(node).__name__}")
+                if isinstance(node, ast.Raise):
+                    self._rule_raise(node, scope)
+            elif isinstance(node, ast.expr):
+                if not isinstance(node, _EXPRS):
+                    self._reject(node, "unsupported expression "
+                                 f"{type(node).__name__}")
+                if isinstance(node, ast.Name):
+                    self._rule_name(node, scope)
+                elif isinstance(node, ast.Attribute):
+                    self._rule_attribute(node, scope)
+                elif isinstance(node, ast.Subscript):
+                    self._rule_subscript(node, scope)
+                elif isinstance(node, ast.Call):
+                    self._rule_call(node, scope)
+            elif isinstance(node, ast.ExceptHandler):
+                self._handler_names(node)
+
     # -- statements -----------------------------------------------------
 
     def run_stmts(self, st: SymState,
                   stmts: Sequence[ast.stmt]) -> List[Outcome]:
         outs: List[Outcome] = [("fall", st)]
-        for node in stmts:
+        for index, node in enumerate(stmts):
             nxt: List[Outcome] = []
+            falls = False
             for out in outs:
                 if out[0] != "fall":
                     nxt.append(out)
                     continue
+                falls = True
                 nxt.extend(self.exec_stmt(out[1], node))
+            if not falls:
+                self._skipped.append(stmts[index:])
+                break
             outs = nxt
         return outs
 
     def exec_stmt(self, st: SymState, node: ast.stmt) -> List[Outcome]:
         """One statement; guest-fault forks become raise outcomes."""
+        self._reached.add(id(node))
         outer = self._faults
         self._faults = []
         try:
@@ -263,8 +492,7 @@ class _Exec:
             self._note(st, node)
             return [("return", st, value)]
         if isinstance(node, ast.Raise):
-            if node.exc is None:
-                raise ProtocolError(f"bare raise at line {node.lineno}")
+            self._rule_raise(node, st.locs)
             exc = self.eval(st, node.exc)
             if not (isinstance(exc, tuple)
                     and exc[0] in ("trap", "fault")):
@@ -293,6 +521,7 @@ class _Exec:
         cond = self.eval(st, node.test)
         if is_concrete(cond):
             branch = node.body if cond else node.orelse
+            self._skipped.append(node.orelse if cond else node.body)
             if not branch:
                 return [("fall", st)]
             return self.run_stmts(st, branch)
@@ -337,43 +566,23 @@ class _Exec:
         if node.finalbody or node.orelse:
             raise ProtocolError("try finally/else is not part of any "
                                 "codegen protocol")
+        handlers = [(self._handler_names(h), h) for h in node.handlers]
+        self._skipped.append(node.handlers)
         final: List[Outcome] = []
         for out in self.run_stmts(st, node.body):
             if out[0] != "raise":
                 final.append(out)
                 continue
             _, state, exc = out
-            handler = self._match_handler(node.handlers, exc)
+            handler = _match_handler(handlers, exc)
             if handler is None:
                 final.append(out)
                 continue
+            self._reached.add(id(handler))
             if handler.name:
                 state.locs[handler.name] = exc
             final.extend(self.run_stmts(state, handler.body))
         return final
-
-    def _match_handler(self, handlers: Sequence[ast.ExceptHandler],
-                       exc: Term) -> Optional[ast.ExceptHandler]:
-        tag = exc[0]
-        for handler in handlers:
-            names = self._handler_names(handler)
-            if tag == "trap":
-                # traps subclass GuestFault in repro.mem.faults
-                if exc[1] in names or "GuestFault" in names:
-                    return handler
-            elif "GuestFault" in names:
-                return handler
-        return None
-
-    @staticmethod
-    def _handler_names(handler: ast.ExceptHandler) -> List[str]:
-        kind = handler.type
-        if isinstance(kind, ast.Name):
-            return [kind.id]
-        if isinstance(kind, ast.Tuple):
-            return [elt.id for elt in kind.elts
-                    if isinstance(elt, ast.Name)]
-        raise ProtocolError("untyped except clause")
 
     # -- assignment targets ---------------------------------------------
 
@@ -383,6 +592,7 @@ class _Exec:
             st.locs[target.id] = value
             return
         if isinstance(target, ast.Attribute):
+            self._rule_attribute(target, st.locs)
             base = self.eval(st, target.value)
             if base == ("state",):
                 self._note(st, node)
@@ -394,20 +604,16 @@ class _Exec:
             # state and is not architectural
             return
         if isinstance(target, ast.Subscript):
+            self._rule_subscript(target, st.locs)
             base = self.eval(st, target.value)
             index = self.eval(st, target.slice)
-            if base == ("regs",):
-                if not isinstance(index, int):
-                    raise ProtocolError(
-                        f"dynamic register index at line {node.lineno}")
+            if base in (("regs",), ("fregs",)):
+                _reg_index(index, node)
                 self._note(st, node)
-                st.write_reg(index, value)
-            elif base == ("fregs",):
-                if not isinstance(index, int):
-                    raise ProtocolError(
-                        f"dynamic register index at line {node.lineno}")
-                self._note(st, node)
-                st.write_freg(index, value)
+                if base == ("regs",):
+                    st.write_reg(index, value)
+                else:
+                    st.write_freg(index, value)
             # opaque-environment element writes are not architectural
             return
         if isinstance(target, ast.Tuple):
@@ -422,7 +628,7 @@ class _Exec:
                 # e.g. ``_ui0, _ui1 = FUI`` — unpacking an opaque
                 # environment sequence yields fresh unknowns
                 base = (value[1] if isinstance(value, tuple)
-                        and value[0] in ("env", "opaque") else "unpack")
+                        and value[0] in ("env", "opaque") else "?unpack")
                 for j, elt in enumerate(target.elts):
                     self._assign(st, elt, fresh_opaque(f"{base}[{j}]"),
                                  node)
@@ -439,12 +645,12 @@ class _Exec:
             name = node.id
             if name in st.locs:
                 return st.locs[name]
-            if name == "state":
-                return ("state",)
+            self._rule_name(node, st.locs)
             if name == "M":
                 return MASK64
             return ("env", name)
         if isinstance(node, ast.Attribute):
+            self._rule_attribute(node, st.locs)
             base = self.eval(st, node.value)
             attr = node.attr
             if base == ("state",):
@@ -482,14 +688,20 @@ class _Exec:
                 f"unsupported unary op at line {node.lineno}")
         if isinstance(node, ast.BoolOp):
             values = [self.eval(st, item) for item in node.values]
-            return (t_or(values) if isinstance(node.op, ast.Or)
-                    else t_and(values))
+            picked = (t_or(values) if isinstance(node.op, ast.Or)
+                      else t_and(values))
+            if picked not in values:
+                self._rule_choice(node, values)
+            return picked
         if isinstance(node, ast.Compare):
             return self._compare(st, node)
         if isinstance(node, ast.IfExp):
-            return t_ifexp(self.eval(st, node.test),
-                           self.eval(st, node.body),
-                           self.eval(st, node.orelse))
+            test = self.eval(st, node.test)
+            body = self.eval(st, node.body)
+            orelse = self.eval(st, node.orelse)
+            if not is_concrete(test):
+                self._rule_choice(node, (body, orelse))
+            return t_ifexp(test, body, orelse)
         if isinstance(node, ast.Tuple):
             return ("tuple",) + tuple(self.eval(st, elt)
                                       for elt in node.elts)
@@ -503,26 +715,21 @@ class _Exec:
         base = self.eval(st, node.value)
         index = self.eval(st, node.slice)
         if base == ("regs",):
-            if not isinstance(index, int):
-                raise ProtocolError(
-                    f"dynamic register index at line {node.lineno}")
-            return st.read_reg(index)
+            return st.read_reg(_reg_index(index, node))
         if base == ("fregs",):
-            if not isinstance(index, int):
-                raise ProtocolError(
-                    f"dynamic register index at line {node.lineno}")
-            return st.read_freg(index)
+            return st.read_freg(_reg_index(index, node))
         if isinstance(base, tuple) and base[:1] == ("tuple",):
             if isinstance(index, int) and not isinstance(index, bool):
                 items = base[1:]
                 return items[index]
-            return fresh_opaque("tuple[]")
+            self._rule_choice(node, base[1:])
+            return fresh_opaque("?tuple[]")
         if base == ("env", "SINK") and index == 0:
             return ("sinkfn",)
         if isinstance(base, tuple) and base[0] in ("env", "opaque"):
             suffix = f"[{index}]" if isinstance(index, int) else "[]"
             return fresh_opaque(f"{base[1]}{suffix}")
-        return fresh_opaque("item")
+        return fresh_opaque("?item")
 
     def _compare(self, st: SymState, node: ast.Compare) -> Term:
         if len(node.ops) != 1:
@@ -558,24 +765,22 @@ class _Exec:
 
     def _call(self, st: SymState, node: ast.Call) -> Term:
         func = node.func
-        if node.keywords:
-            raise ProtocolError(
-                f"keyword arguments at line {node.lineno}")
+        self._rule_call(node, st.locs)
         if isinstance(func, ast.Name) and func.id not in st.locs:
             name = func.id
-            if name in _LD_HELPERS:
+            if name in _LD_HELPERS or name in _ST_HELPERS:
                 self._note(st, node)
-                addr = self.eval(st, node.args[0])
-                value, fork = st.mem_read(_LD_HELPERS[name], addr)
+                args = [self.eval(st, arg) for arg in node.args]
+                if len(args) != (1 if name in _LD_HELPERS else 2):
+                    raise ProtocolError(
+                        f"{name}() arity at line {node.lineno}")
+                if name in _ST_HELPERS:
+                    self._faults.append(
+                        st.mem_write(_ST_HELPERS[name], *args))
+                    return None
+                value, fork = st.mem_read(_LD_HELPERS[name], args[0])
                 self._faults.append(fork)
                 return value
-            if name in _ST_HELPERS:
-                self._note(st, node)
-                addr = self.eval(st, node.args[0])
-                value = self.eval(st, node.args[1])
-                self._faults.append(
-                    st.mem_write(_ST_HELPERS[name], addr, value))
-                return None
             if name in _TRAP_NAMES:
                 args = [self.eval(st, arg) for arg in node.args]
                 return ("trap", name, args[0] if args else 0)
@@ -612,6 +817,15 @@ def _check_clean_entry(st: SymState, pc_entry: int) -> None:
         raise ProtocolError("loop entered with pc moved")
 
 
+def _havoc_iteration(st: SymState) -> None:
+    """Forget everything one loop iteration may have changed."""
+    st.havoc_registers()
+    st.stores.clear()
+    st.events.clear()
+    st.conds.clear()
+    st.nmem = 0
+
+
 class _KindBase:
     """Shared protocol defaults for the per-form verifiers."""
 
@@ -627,9 +841,9 @@ class _KindBase:
     def expected(self) -> List[ExitSummary]:
         raise NotImplementedError
 
-    def _summ(self, st: SymState, kind: str,
-              executed: Optional[Term] = None,
-              exc: Optional[Term] = None) -> ExitSummary:
+    def summary(self, st: SymState, kind: str,
+                executed: Optional[Term] = None,
+                exc: Optional[Term] = None) -> ExitSummary:
         return summarize(st, kind, executed, exc,
                          tracked_locals=self.tracked_locals)
 
@@ -664,11 +878,7 @@ class _BlockKind(_KindBase):
         _check_clean_entry(st, self.pc0)
 
     def havoc(self, st: SymState) -> None:
-        st.havoc_registers()
-        st.stores.clear()
-        st.events.clear()
-        st.conds.clear()
-        st.nmem = 0
+        _havoc_iteration(st)
         st.locs["n"] = t_mul(("sym", "K"), self.length)
 
     def expected(self) -> List[ExitSummary]:
@@ -686,12 +896,12 @@ class _BlockKind(_KindBase):
             st, self.instrs[-1], pc0 + 4 * (length - 1), length - 1,
             length, length - 1, self.event, faults)
         for fst, fexc in faults:
-            out.append(self._summ(fst, "raise", exc=fexc))
+            out.append(self.summary(fst, "raise", exc=fexc))
         for es, eexc in exits:
             if eexc is None:
-                out.append(self._summ(es, "return", executed=length))
+                out.append(self.summary(es, "return", executed=length))
             else:
-                out.append(self._summ(es, "raise", exc=eexc))
+                out.append(self.summary(es, "raise", exc=eexc))
         return out
 
     def _expected_loop(self) -> List[ExitSummary]:
@@ -706,7 +916,7 @@ class _BlockKind(_KindBase):
             apply_body(st, instr, pc0 + 4 * i, i, t_add(n0, i),
                        False, faults)
         for fst, fexc in faults:
-            out.append(self._summ(fst, "raise", exc=fexc))
+            out.append(self.summary(fst, "raise", exc=fexc))
         cond = branch_cond(st, self.instrs[-1])
         fall = (pc0 + length * 4) & MASK64
         n1 = t_add(n0, length)
@@ -717,14 +927,14 @@ class _BlockKind(_KindBase):
             back = s.clone()
             back.conds.append((bc, True))
             back.locs["n"] = n1
-            out.append(self._summ(back, "backedge"))
+            out.append(self.summary(back, "backedge"))
             s.conds.append((bc, False))
             s.write_attr("pc", pc0)
-            out.append(self._summ(s, "return", executed=n1))
+            out.append(self.summary(s, "return", executed=n1))
 
         def fell(s: SymState) -> None:
             s.write_attr("pc", fall)
-            out.append(self._summ(s, "return", executed=n1))
+            out.append(self.summary(s, "return", executed=n1))
 
         if is_concrete(cond):
             if cond:
@@ -768,11 +978,7 @@ class _InlineChainKind(_KindBase):
         _check_clean_entry(st, self.head)
 
     def havoc(self, st: SymState) -> None:
-        st.havoc_registers()
-        st.stores.clear()
-        st.events.clear()
-        st.conds.clear()
-        st.nmem = 0
+        _havoc_iteration(st)
         if self.single_loop:
             base0: Term = t_mul(("sym", "K"), len(self.frags[0][1]))
         else:
@@ -797,11 +1003,14 @@ class _InlineChainKind(_KindBase):
         assert d_cur is not None
         return d_cur
 
-    def _chain_raise(self, out: List[ExitSummary], s: SymState,
-                     exc: Term, base_cur: Term, d_cur: Optional[Term],
-                     length: int) -> None:
-        s.write_attr("block_progress",
-                     t_add(base_cur, s.read_attr("block_progress")))
+    def _chain_exit(self, out: List[ExitSummary], s: SymState,
+                    base_cur: Term, d_cur: Optional[Term], length: int,
+                    exc: Optional[Term] = None) -> None:
+        """Leave the chain: rewind ``icount``, count the dispatches and,
+        on a raise, fold chain progress into ``block_progress``."""
+        if exc is not None:
+            s.write_attr("block_progress",
+                         t_add(base_cur, s.read_attr("block_progress")))
         if self.track_icount:
             s.write_attr("icount",
                          t_sub(s.read_attr("icount"), base_cur))
@@ -809,20 +1018,11 @@ class _InlineChainKind(_KindBase):
                    t_add(s.read_vs("block_dispatches"),
                          self._dispatch_delta(base_cur, d_cur,
                                               length)))
-        out.append(self._summ(s, "raise", exc=exc))
-
-    def _chain_return(self, out: List[ExitSummary], s: SymState,
-                      base_cur: Term, d_cur: Optional[Term],
-                      length: int) -> None:
-        if self.track_icount:
-            s.write_attr("icount",
-                         t_sub(s.read_attr("icount"), base_cur))
-        s.write_vs("block_dispatches",
-                   t_add(s.read_vs("block_dispatches"),
-                         self._dispatch_delta(base_cur, d_cur,
-                                              length)))
-        out.append(self._summ(s, "return",
-                              executed=t_add(base_cur, length)))
+        if exc is not None:
+            out.append(self.summary(s, "raise", exc=exc))
+        else:
+            out.append(self.summary(s, "return",
+                                  executed=t_add(base_cur, length)))
 
     def expected(self) -> List[ExitSummary]:
         out: List[ExitSummary] = []
@@ -852,12 +1052,12 @@ class _InlineChainKind(_KindBase):
                     fst.write_attr(
                         "pc",
                         t_add(pc0, t_mul(t_mod(index, length), 4)))
-                    self._chain_raise(out, fst, fexc, base_cur,
-                                      d_cur, length)
+                    self._chain_exit(out, fst, base_cur, d_cur, length,
+                                     fexc)
                 for es, eexc in exits:
                     if eexc is not None:
-                        self._chain_raise(out, es, eexc, base_cur,
-                                          d_cur, length)
+                        self._chain_exit(out, es, base_cur, d_cur,
+                                         length, eexc)
                         continue
                     if k + 1 < nfrags:
                         succ: Optional[int] = self.frags[k + 1][0]
@@ -866,8 +1066,8 @@ class _InlineChainKind(_KindBase):
                     else:
                         succ = None
                     if succ is None:
-                        self._chain_return(out, es, base_cur, d_cur,
-                                           length)
+                        self._chain_exit(out, es, base_cur, d_cur,
+                                         length)
                         continue
                     atoms = [
                         t_cmp("ne", es.read_attr("pc"), succ),
@@ -879,14 +1079,14 @@ class _InlineChainKind(_KindBase):
                     ]
                     guard = t_or(atoms)
                     if guard is True:
-                        self._chain_return(out, es, base_cur, d_cur,
-                                           length)
+                        self._chain_exit(out, es, base_cur, d_cur,
+                                         length)
                         continue
                     if guard is not False:
                         exit_st = es.clone()
                         exit_st.conds.append((guard, True))
-                        self._chain_return(out, exit_st, base_cur,
-                                           d_cur, length)
+                        self._chain_exit(out, exit_st, base_cur,
+                                         d_cur, length)
                         es.conds.append((guard, False))
                     es.locs["_base"] = t_add(base_cur, length)
                     if d_cur is not None:
@@ -898,17 +1098,20 @@ class _InlineChainKind(_KindBase):
                     nxt.append(es)
             states = nxt
         for s in states:
-            out.append(self._summ(s, "backedge"))
+            out.append(self.summary(s, "backedge"))
         return out
 
 
 # ----------------------------------------------------------------------
 # public verification entry points
 
-def _run_verify(source: str, kind: Any) -> List[ExitDiff]:
+def _run_verify(source: str, kind: Any,
+                env: Collection[str]) -> List[ExitDiff]:
     try:
-        actual = _Exec(source, kind).run()
+        actual = _Exec(source, kind, frozenset(env)).run()
         expected = kind.expected()
+    except SyntaxError as exc:
+        return [ExitDiff(f"not parseable: {exc}")]
     except ProtocolError as exc:
         return [ExitDiff(f"protocol violation: {exc}")]
     except RecursionError:
@@ -917,87 +1120,69 @@ def _run_verify(source: str, kind: Any) -> List[ExitDiff]:
 
 
 def verify_block_source(source: str, pc0: int,
-                        instrs: Sequence[Instr],
-                        flavor: str = "fast") -> List[ExitDiff]:
-    """Prove one translated superblock equivalent to its decoded
-    instructions; returns the (possibly empty) list of diffs."""
-    return _run_verify(source, _BlockKind(pc0, instrs, flavor))
+                        instrs: Sequence[Instr], flavor: str,
+                        env_names: Collection[str]) -> List[ExitDiff]:
+    """Prove one translated ``flavor`` superblock equivalent to its
+    decoded instructions and safe against ``env_names``, the globals it
+    runs with; returns the (possibly empty) diffs."""
+    return _run_verify(source, _BlockKind(pc0, instrs, flavor), env_names)
 
 
 def verify_inline_chain(source: str,
                         frags: Sequence[Tuple[int, Sequence[Instr]]],
-                        loop_back: bool) -> List[ExitDiff]:
+                        loop_back: bool,
+                        env_names: Collection[str]) -> List[ExitDiff]:
     """Prove an inline (spliced-body) megablock chain."""
-    return _run_verify(source, _InlineChainKind(frags, loop_back))
+    return _run_verify(source, _InlineChainKind(frags, loop_back),
+                       env_names)
 
 
 # ----------------------------------------------------------------------
-# translator seam: capture + opt-in deep checking
+# what the translate-time gate saw: capture for the corpus driver
+
+#: gate flavour -> verify-codegen tier
+_TIERS: Dict[str, str] = {"fast": "fast", "event": "event",
+                         "timed": "fused-timed", "warm": "fused-warm",
+                         "mega": "mega-inline"}
+
 
 @dataclass(frozen=True)
 class Captured:
-    """One generated source captured at the translator seam, with the
-    metadata needed to re-verify it offline (the corpus driver)."""
+    """One generated source as the translate-time gate saw it, with
+    what the corpus driver needs to re-prove it offline and the gate's
+    own diffs (``None`` when the gate was switched off)."""
 
-    form: str          # "block" | "chain-inline"
-    flavor: str        # "fast" | "event" | "timed" | "warm"
+    flavor: str        # "fast" | "event" | "timed" | "warm" | "mega"
     source: str
     pc0: int
+    env_names: FrozenSet[str]
     instrs: Tuple[Instr, ...] = ()
     frags: Tuple[Tuple[int, Tuple[Instr, ...]], ...] = ()
     loop_back: bool = False
+    diffs: Optional[Tuple[ExitDiff, ...]] = None
 
     @property
     def tier(self) -> str:
-        if self.form == "block":
-            return {"fast": "fast", "event": "event",
-                    "timed": "fused-timed",
-                    "warm": "fused-warm"}[self.flavor]
-        return "mega-inline"
+        return _TIERS[self.flavor]
 
     @property
     def label(self) -> str:
         return f"{self.tier}@{self.pc0:#x}"
 
     def verify(self) -> List[ExitDiff]:
-        if self.form == "block":
-            return verify_block_source(self.source, self.pc0,
-                                       self.instrs, self.flavor)
-        return verify_inline_chain(self.source, self.frags,
-                                   self.loop_back)
+        if self.flavor == "mega":
+            return verify_inline_chain(self.source, self.frags,
+                                       self.loop_back, self.env_names)
+        return verify_block_source(self.source, self.pc0, self.instrs,
+                                   self.flavor, self.env_names)
 
 
-_CHECKED = 0
-_REJECTED = 0
 _CAPTURE: Optional[List[Captured]] = None
-
-
-def stats() -> Dict[str, int]:
-    """Process-local verify counters (same shape as the sanitizer's)."""
-    return {"checked": _CHECKED, "rejected": _REJECTED}
-
-
-def reset_stats() -> None:
-    global _CHECKED, _REJECTED
-    _CHECKED = 0
-    _REJECTED = 0
-
-
-def verifier_enabled() -> bool:
-    """Deep checking is opt-in: on only when ``REPRO_VERIFY`` is set
-    truthy (it symbolically re-proves every fresh translation)."""
-    return os.environ.get("REPRO_VERIFY", "").strip().lower() in (
-        "1", "true", "yes", "on")
-
-
-def verifier_active() -> bool:
-    """Whether the translator seams should call the hooks at all."""
-    return _CAPTURE is not None or verifier_enabled()
 
 
 @contextmanager
 def capture() -> Iterator[List[Captured]]:
-    """Collect every source the seams see (the corpus driver);
+    """Collect every source the gate sees (the corpus driver);
     nested captures shadow outer ones."""
     global _CAPTURE
     prev, _CAPTURE = _CAPTURE, []
@@ -1007,40 +1192,7 @@ def capture() -> Iterator[List[Captured]]:
         _CAPTURE = prev
 
 
-def _deep_check(label: str, source: str,
-                diffs: List[ExitDiff]) -> None:
-    global _CHECKED, _REJECTED
-    _CHECKED += 1
-    if diffs:
-        _REJECTED += 1
-    from .sanitizer import mirror_check_metrics
-    mirror_check_metrics("verify", rejected=bool(diffs))
-    if diffs:
-        raise VerifyError(label, diffs, source)
-
-
-def hook_block(source: str, pc0: int, instrs: Sequence[Instr],
-               flavor: str) -> None:
-    """Translator seam: every freshly generated superblock source."""
-    item = Captured(form="block", flavor=flavor, source=source,
-                    pc0=pc0, instrs=tuple(instrs))
+def record(item: Captured) -> None:
+    """Hand one gated source to the open :func:`capture`, if any."""
     if _CAPTURE is not None:
         _CAPTURE.append(item)
-    if verifier_enabled():
-        _deep_check(item.label, source,
-                    verify_block_source(source, pc0, instrs, flavor))
-
-
-def hook_inline_chain(source: str,
-                      frags: Sequence[Tuple[int, Sequence[Instr]]],
-                      loop_back: bool, flavor: str) -> None:
-    """Translator seam: every freshly generated megablock source."""
-    packed = tuple((pc, tuple(instrs)) for pc, instrs in frags)
-    item = Captured(form="chain-inline", flavor=flavor,
-                    source=source, pc0=packed[0][0], frags=packed,
-                    loop_back=loop_back)
-    if _CAPTURE is not None:
-        _CAPTURE.append(item)
-    if verifier_enabled():
-        _deep_check(item.label, source,
-                    verify_inline_chain(source, packed, loop_back))

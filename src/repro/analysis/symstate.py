@@ -378,9 +378,6 @@ def render(term: Term) -> str:
 #: ``state`` attributes every summary reports explicitly
 KNOWN_ATTRS = ("pc", "halted", "icount", "cycles", "block_progress")
 
-_LD_SIZES = {"ld1": 1, "ld2": 2, "ld4": 4, "ld8": 8, "ldf": "f"}
-_ST_SIZES = {"st1": 1, "st2": 2, "st4": 4, "st8": 8, "stf": "f"}
-
 
 class SymState:
     """One symbolic execution path's machine + local state."""

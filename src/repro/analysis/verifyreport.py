@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.analysis import symexec
+from repro.analysis.sanitizer import SanitizerError
 from repro.analysis.symstate import ExitDiff
 
 __all__ = [
@@ -60,15 +61,6 @@ class Finding:
     messages: List[str]
     source: str
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "bench": self.bench,
-            "tier": self.tier,
-            "label": self.label,
-            "messages": self.messages,
-            "source": self.source,
-        }
-
 
 @dataclass
 class VerifyReport:
@@ -96,7 +88,8 @@ class VerifyReport:
             "verified": dict(self.verified),
             "total": self.total,
             "duplicates_skipped": self.duplicates,
-            "findings": [finding.to_dict() for finding in self.findings],
+            "findings": [dataclasses.asdict(finding)
+                         for finding in self.findings],
             "ok": self.ok,
         }
 
@@ -142,9 +135,12 @@ def _capture_benchmark(bench: str, size: str,
             load_benchmark(bench, size=size),
             timing_config=config,
             machine_kwargs=SUITE_MACHINE_KWARGS)
-        controller.run_fast(warm)
-        controller.run_warming(measure // 2)
-        controller.run_timed(max(1, measure - measure // 2))
+        try:
+            controller.run_fast(warm)
+            controller.run_warming(measure // 2)
+            controller.run_timed(max(1, measure - measure // 2))
+        except SanitizerError:
+            pass  # the rejected source is captured last, with its diffs
     return captured
 
 
@@ -171,7 +167,9 @@ def run_corpus(corpus: str = "tiny",
                 report.duplicates += 1
                 continue
             seen.add(key)
-            diffs: List[ExitDiff] = item.verify()
+            # the gate's verdict; proven afresh only if it was off
+            diffs: List[ExitDiff] = (item.verify() if item.diffs is None
+                                     else list(item.diffs))
             report.verified[item.tier] += 1
             if diffs:
                 report.findings.append(Finding(

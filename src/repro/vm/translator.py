@@ -194,13 +194,9 @@ def event_fields(instr: Instr) -> tuple:
 _CODE_CACHE: dict = {}
 _CODE_CACHE_CAPACITY = 8192
 
-#: lazily bound repro.analysis.sanitizer module (the import is deferred
-#: to first translation so importing repro.vm never drags the analysis
-#: package — and its result-analysis dependencies — along)
-_SANITIZER = None
-
-#: lazily bound repro.obs.profiler module, same deferral rationale.
-#: When profiling is disabled (the default) the only cost is one flag
+#: lazily bound repro.obs.profiler module (deferred to first
+#: translation so importing repro.vm stays light).  When profiling is
+#: disabled (the default) the only cost is one flag
 #: check per *translation* — never per dispatch — and translated
 #: blocks are returned unwrapped, so the dispatch loop is untouched.
 _PROFILER = None
@@ -212,58 +208,6 @@ def _profiler():
         from repro.obs import profiler as _profiler_module
         _PROFILER = _profiler_module
     return _PROFILER
-
-
-def _sanitize(source: str, env_names, flavor: str) -> None:
-    """Run the generated-superblock sanitizer unless disabled.
-
-    Every source string this module compiles goes through here first
-    (rule REPRO004's runtime counterpart): the sanitizer walks the AST
-    and rejects imports, I/O, and writes outside machine/timing state.
-    ``REPRO_SANITIZE=0`` disables it; results are identical either way
-    because the sanitizer only vets source, it never rewrites it.
-    """
-    global _SANITIZER
-    if _SANITIZER is None:
-        from repro.analysis import sanitizer as _sanitizer_module
-        _SANITIZER = _sanitizer_module
-    if _SANITIZER.sanitizer_enabled():
-        _SANITIZER.sanitize_block_source(source, env_names, flavor)
-
-
-#: lazily bound repro.analysis.symexec module (the symbolic verifier);
-#: same deferral rationale as the sanitizer — and doubly so here, the
-#: deep check costs a full abstract interpretation per translation
-_VERIFIER = None
-
-
-def _verifier():
-    global _VERIFIER
-    if _VERIFIER is None:
-        from repro.analysis import symexec as _symexec_module
-        _VERIFIER = _symexec_module
-    return _VERIFIER
-
-
-def _verify_block(source: str, pc: int, instrs, flavor: str) -> None:
-    """Symbolic deep-check seam, layered above the sanitizer.
-
-    Inactive (one flag check) unless ``REPRO_VERIFY=1`` or a
-    :func:`repro.analysis.symexec.capture` collector is open; when
-    verifying, a semantic diff raises ``VerifyError`` before the
-    source is ever compiled.
-    """
-    verifier = _verifier()
-    if verifier.verifier_active():
-        verifier.hook_block(source, pc, instrs, flavor)
-
-
-def _verify_chain(source: str, frags, loop_back: bool,
-                  flavor: str) -> None:
-    """The same deep-check seam for an inline megablock."""
-    verifier = _verifier()
-    if verifier.verifier_active():
-        verifier.hook_inline_chain(source, frags, loop_back, flavor)
 
 
 def _instr_key(instrs) -> tuple:
@@ -329,10 +273,8 @@ class Translator:
             check_flavor = codegen.flavor
             generate = partial(self._generate_fused, pc, instrs, codegen)
         fn = self._jit(
-            _block_key(pc, instrs, flavor, codegen), pc, tier, flavor,
-            namespace, generate,
-            lambda source: _verify_block(source, pc, instrs,
-                                         check_flavor))
+            _block_key(pc, instrs, flavor, codegen), pc, tier,
+            check_flavor, namespace, generate, instrs=instrs)
         return TranslatedBlock(pc, fn, len(instrs),
                                block_pages(pc, len(instrs)))
 
@@ -342,7 +284,7 @@ class Translator:
 
         The fragments are re-decoded and spliced by
         :meth:`generate_chain`, then compiled through the same
-        cache-miss path as :meth:`translate` (sanitizer flavour
+        cache-miss path as :meth:`translate` (gate flavour
         ``"mega"``).  ``env`` carries the chain linker's own names
         (``VS``, ``IRQ``, ``GEN``) over the translator and codegen
         environment.  Raises :class:`UnspliceableChain` when a
@@ -363,28 +305,31 @@ class Translator:
         return self._jit(
             key, frags[0][0], "megablock", "mega", namespace,
             lambda: self.generate_chain(frags, loop_back, codegen),
-            lambda source: _verify_chain(source, frags, loop_back,
-                                         codegen.flavor))
+            frags=frags, loop_back=loop_back)
 
     def _jit(self, key: tuple, pc: int, tier: str, flavor: str,
              namespace: dict, generate: Callable[[], str],
-             verify: Callable[[str], None]) -> Callable:
+             **subject) -> Callable:
         """The one compile path for blocks and megablocks.
 
-        On a host code-cache miss: generate the source, sanitize it
-        against ``namespace`` under ``flavor``, run the verify seam,
-        ``compile()``, attribute the time to ``tier`` in the profiler
-        and cache ``(code, source)`` under ``key``.  Hit or miss, the
-        code is ``exec``'d in ``namespace`` and its ``_block`` returned.
+        On a host code-cache miss: generate the source, pass it through
+        the translate-time gate (``sanitize_block_source``, proving the
+        ``flavor`` block or megablock at ``pc`` that ``subject``
+        describes, safe against ``namespace``), ``compile()``, attribute
+        the time to ``tier`` in the profiler and cache ``(code,
+        source)`` under ``key``.  Hit or miss, the code is ``exec``'d
+        in ``namespace`` and its ``_block`` returned.
         """
         profiler = _profiler()
         profiling = profiler.profiling_enabled()
         cached = _CODE_CACHE.get(key)
         if cached is None:
+            # deferred: importing repro.vm never drags repro.analysis in
+            from repro.analysis import sanitizer
             started = profiler.now() if profiling else 0.0
             source = generate()
-            _sanitize(source, set(namespace), flavor)
-            verify(source)
+            sanitizer.sanitize_block_source(source, namespace.keys(),
+                                            flavor, pc, **subject)
             code = compile(source, f"<{tier} 0x{pc:x}>", "exec")
             if profiling:
                 profiler.record_translation(

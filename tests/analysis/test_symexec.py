@@ -18,6 +18,9 @@ from repro.timing.warming import FunctionalWarmingSink
 
 MASK64 = (1 << 64) - 1
 
+#: the names the chain linker adds to a megablock's globals
+LINKER_NAMES = frozenset({"VS", "IRQ", "GEN"})
+
 PROGRAMS = {
     "alu": """
 _start:
@@ -172,7 +175,8 @@ def test_fast_and_event_blocks_verify(translated):
         for pc, instrs in blocks:
             for flavor in ("fast", "event"):
                 source = tr._generate(pc, instrs, flavor)
-                diffs = verify_block_source(source, pc, instrs, flavor)
+                diffs = verify_block_source(source, pc, instrs, flavor,
+                                            tr._env_base)
                 if diffs:
                     _fail(f"{name}:{flavor}@{pc:#x}", diffs, source)
                 checked += 1
@@ -188,12 +192,19 @@ def test_fused_timed_and_warm_blocks_verify(translated):
                     source = tr._generate_fused(pc, instrs, cg)
                 except ValueError:
                     continue  # dynamic ring addressing: no fused form
-                diffs = verify_block_source(source, pc, instrs, flavor)
+                diffs = verify_block_source(
+                    source, pc, instrs, flavor,
+                    tr._env_base.keys() | cg.env().keys())
                 if diffs:
                     _fail(f"{name}:fused-{flavor}@{pc:#x}", diffs,
                           source)
                 checked += 1
     assert checked >= len(PROGRAMS)
+
+
+def chain_env(tr, cg):
+    """A megablock's globals: translator, codegen and chain linker."""
+    return tr._env_base.keys() | cg.env().keys() | LINKER_NAMES
 
 
 def _loop_blocks(blocks):
@@ -215,7 +226,7 @@ def test_inline_chains_verify(translated):
                 except ValueError:
                     continue
                 diffs = verify_inline_chain(source, [(pc, instrs)],
-                                            True)
+                                            True, chain_env(tr, cg))
                 if diffs:
                     _fail(f"{name}:chain1-{flavor}@{pc:#x}", diffs,
                           source)
@@ -230,7 +241,8 @@ def test_inline_chains_verify(translated):
                     except ValueError:
                         continue
                     diffs = verify_inline_chain(source, frags,
-                                                loop_back)
+                                                loop_back,
+                                                chain_env(tr, cg))
                     if diffs:
                         _fail(f"{name}:chain2-{flavor} lb={loop_back}",
                               diffs, source)

@@ -2,8 +2,9 @@
 
 Each mutant takes a real generated source (a loop-form fast block with
 symbolic registers, or an inline megablock from the timed and the
-warming codegen) and seeds one semantic bug on a live path — a dropped register write, an off-by-one
-in the instruction accounting, a missing exit-stub guard.  The verifier
+warming codegen) and seeds one bug on a live path — a dropped register
+write, an off-by-one in the instruction accounting, a missing exit-stub
+guard, a list mutator that wipes the register file.  The verifier
 must flag every one with at least one diff; a mutant that verifies
 clean would mean the proof has a blind spot.
 
@@ -42,7 +43,7 @@ def loop_block():
     pc = system.machine.state.pc + 8  # the loop: block, past the li's
     instrs = tr._decode_block(pc)
     source = tr._generate(pc, instrs, "fast")
-    return pc, instrs, source
+    return pc, instrs, source, frozenset(tr._env_base)
 
 
 def mutate(source, old, new):
@@ -62,21 +63,24 @@ BLOCK_MUTANTS = {
     "signedness-dropped": ("if s64(r[9]) < s64(r[10]):",
                            "if r[9] < r[10]:"),
     "budget-off-by-one": ("if n + 3 <= budget:", "if n + 3 < budget:"),
+    # a list mutator aimed at the guest register file, not timing state
+    "register-file-mutator": ("    r = state.regs\n",
+                              "    r = state.regs\n    r.clear()\n"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(BLOCK_MUTANTS))
 def test_block_mutant_caught(loop_block, name):
-    pc, instrs, source = loop_block
+    pc, instrs, source, env = loop_block
     old, new = BLOCK_MUTANTS[name]
     diffs = verify_block_source(mutate(source, old, new), pc, instrs,
-                                "fast")
+                                "fast", env)
     assert diffs, f"verifier missed seeded bug {name}"
 
 
 def test_pristine_block_still_clean(loop_block):
-    pc, instrs, source = loop_block
-    assert verify_block_source(source, pc, instrs, "fast") == []
+    pc, instrs, source, env = loop_block
+    assert verify_block_source(source, pc, instrs, "fast", env) == []
 
 
 #: a two-fragment looped chain: ``loop`` (LW/ADDI/SW/BLT) branches to
@@ -103,7 +107,7 @@ loop:
 
 @pytest.fixture(scope="module")
 def inline_chains():
-    """``{shape: {codegen flavor: (frags, source)}}`` built by the
+    """``{shape: {codegen flavor: (frags, source, env)}}`` built by the
     translator's inline emitter; ``halt`` is a one-block HALT
     self-loop, the only shape where ``state.halted`` can be true."""
     system = boot(assemble(CHAIN))
@@ -119,7 +123,12 @@ def inline_chains():
         "warm": WarmingBlockCodegen(
             FunctionalWarmingSink(OutOfOrderCore(TimingConfig.small()))),
     }
-    chains = {shape: {name: (frags, tr.generate_chain(frags, True, cg))
+    # the chain linker adds VS, IRQ and GEN to a megablock's globals
+    envs = {name: frozenset(tr._env_base.keys() | cg.env().keys()
+                            | {"VS", "IRQ", "GEN"})
+            for name, cg in codegens.items()}
+    chains = {shape: {name: (frags, tr.generate_chain(frags, True, cg),
+                             envs[name])
                       for name, cg in codegens.items()}
               for shape, frags in shapes.items()}
     return chains, {"loop": loop, "tail": tail}
@@ -148,25 +157,25 @@ CHAIN_MUTANTS = {
 def test_chain_mutant_caught(inline_chains, name):
     chains, pcs = inline_chains
     shape, old, new = CHAIN_MUTANTS[name]
-    for flavor, (frags, source) in chains[shape].items():
+    for flavor, (frags, source, env) in chains[shape].items():
         mutant = mutate(source, old.format(**pcs), new)
-        diffs = verify_inline_chain(mutant, frags, True)
+        diffs = verify_inline_chain(mutant, frags, True, env)
         assert diffs, f"verifier missed seeded bug {name} ({flavor})"
 
 
 def test_pristine_chain_still_clean(inline_chains):
     chains, _ = inline_chains
     for by_flavor in chains.values():
-        for frags, source in by_flavor.values():
-            assert verify_inline_chain(source, frags, True) == []
+        for frags, source, env in by_flavor.values():
+            assert verify_inline_chain(source, frags, True, env) == []
 
 
 def test_diff_carries_minimized_trace(loop_block):
     """A diff names the diverging field and points at source lines."""
-    pc, instrs, source = loop_block
+    pc, instrs, source, env = loop_block
     old, new = BLOCK_MUTANTS["wrong-exit-pc"]
     diffs = verify_block_source(mutate(source, old, new), pc, instrs,
-                                "fast")
+                                "fast", env)
     text = "\n".join(d.format() for d in diffs)
     assert "pc" in text
     assert "state.pc = 4120" in text  # the seeded line, in the trace
