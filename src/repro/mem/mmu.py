@@ -28,8 +28,17 @@ from .paging import (PROT_DEVICE, PROT_R, PROT_W, PROT_X, PageTable)
 from .physical import PAGE_MASK, PAGE_SHIFT, PAGE_SIZE, PhysicalMemory
 from .tlb import SoftTlb
 
-_pack_d = struct.pack
-_unpack_d = struct.unpack_from
+# One precompiled little-endian codec per access width.  Loads unpack
+# straight out of the cached page frame and stores pack straight into
+# it, so a hit builds no slice and no bytes object.
+_U16 = struct.Struct("<H")
+_U32 = struct.Struct("<I")
+_U64 = struct.Struct("<Q")
+_F64 = struct.Struct("<d")
+_load16, _store16 = _U16.unpack_from, _U16.pack_into
+_load32, _store32 = _U32.unpack_from, _U32.pack_into
+_load64, _store64 = _U64.unpack_from, _U64.pack_into
+_loadf, _storef = _F64.unpack_from, _F64.pack_into
 
 
 class MMU:
@@ -125,8 +134,7 @@ class MMU:
             page = self._fill(vpn, PROT_R, vaddr, "read")
             if page is None:
                 return self.bus.read(vaddr, 2)
-        off = vaddr & PAGE_MASK
-        return page[off] | (page[off + 1] << 8)
+        return _load16(page, vaddr & PAGE_MASK)[0]
 
     def read_u32(self, vaddr: int) -> int:
         if vaddr & 3:
@@ -137,8 +145,7 @@ class MMU:
             page = self._fill(vpn, PROT_R, vaddr, "read")
             if page is None:
                 return self.bus.read(vaddr, 4)
-        off = vaddr & PAGE_MASK
-        return int.from_bytes(page[off:off + 4], "little")
+        return _load32(page, vaddr & PAGE_MASK)[0]
 
     def read_u64(self, vaddr: int) -> int:
         if vaddr & 7:
@@ -149,8 +156,7 @@ class MMU:
             page = self._fill(vpn, PROT_R, vaddr, "read")
             if page is None:
                 return self.bus.read(vaddr, 8)
-        off = vaddr & PAGE_MASK
-        return int.from_bytes(page[off:off + 8], "little")
+        return _load64(page, vaddr & PAGE_MASK)[0]
 
     def read_f64(self, vaddr: int) -> float:
         if vaddr & 7:
@@ -161,8 +167,8 @@ class MMU:
             page = self._fill(vpn, PROT_R, vaddr, "read")
             if page is None:
                 bits = self.bus.read(vaddr, 8)
-                return struct.unpack("<d", bits.to_bytes(8, "little"))[0]
-        return _unpack_d("<d", page, vaddr & PAGE_MASK)[0]
+                return _F64.unpack(bits.to_bytes(8, "little"))[0]
+        return _loadf(page, vaddr & PAGE_MASK)[0]
 
     # ------------------------------------------------------------------
     # stores
@@ -187,8 +193,7 @@ class MMU:
             if page is None:
                 self.bus.write(vaddr, 2, value & 0xFFFF)
                 return
-        off = vaddr & PAGE_MASK
-        page[off:off + 2] = (value & 0xFFFF).to_bytes(2, "little")
+        _store16(page, vaddr & PAGE_MASK, value & 0xFFFF)
 
     def write_u32(self, vaddr: int, value: int) -> None:
         if vaddr & 3:
@@ -200,8 +205,7 @@ class MMU:
             if page is None:
                 self.bus.write(vaddr, 4, value & 0xFFFFFFFF)
                 return
-        off = vaddr & PAGE_MASK
-        page[off:off + 4] = (value & 0xFFFFFFFF).to_bytes(4, "little")
+        _store32(page, vaddr & PAGE_MASK, value & 0xFFFFFFFF)
 
     def write_u64(self, vaddr: int, value: int) -> None:
         if vaddr & 7:
@@ -213,8 +217,7 @@ class MMU:
             if page is None:
                 self.bus.write(vaddr, 8, value & (2**64 - 1))
                 return
-        off = vaddr & PAGE_MASK
-        page[off:off + 8] = (value & (2**64 - 1)).to_bytes(8, "little")
+        _store64(page, vaddr & PAGE_MASK, value & (2**64 - 1))
 
     def write_f64(self, vaddr: int, value: float) -> None:
         if vaddr & 7:
@@ -224,11 +227,10 @@ class MMU:
         if page is None:
             page = self._fill(vpn, PROT_W, vaddr, "write")
             if page is None:
-                bits = struct.unpack("<Q", _pack_d("<d", value))[0]
+                bits = _U64.unpack(_F64.pack(value))[0]
                 self.bus.write(vaddr, 8, bits)
                 return
-        off = vaddr & PAGE_MASK
-        page[off:off + 8] = _pack_d("<d", value)
+        _storef(page, vaddr & PAGE_MASK, value)
 
     # ------------------------------------------------------------------
     # instruction fetch
@@ -243,8 +245,7 @@ class MMU:
             page = self._fill(vpn, PROT_X, vaddr, "exec")
             if page is None:
                 raise PageFault(vaddr, "exec")  # no executable devices
-        off = vaddr & PAGE_MASK
-        return int.from_bytes(page[off:off + 4], "little")
+        return _load32(page, vaddr & PAGE_MASK)[0]
 
     # ------------------------------------------------------------------
     # bulk access (kernel, loader, devices; may cross pages)

@@ -3,8 +3,9 @@
 Physical memory is a flat array of page frames allocated on demand: the
 guest-visible physical address space can be large while the host only pays
 for frames that are actually touched.  Frames are fixed-size
-``bytearray`` objects, which keeps the hot access paths (``int.from_bytes``
-on a slice) fast.
+``bytearray`` objects, so the MMU's hot loads and stores read and write
+them in place through precompiled ``struct.Struct`` codecs
+(``unpack_from``/``pack_into``) without building a slice.
 
 Dirty-frame tracking: every frame carries a *write generation* — the
 value of :attr:`PhysicalMemory.write_epoch` when it was last (possibly)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 
 @dataclass
@@ -18,17 +18,35 @@ class SegmentedIpcEstimator:
     retroactively assigned the first measurement.  The aggregate is
     ``total_instructions / estimated_cycles`` with
     ``estimated_cycles = sum(instructions_i / ipc_i)``.
+
+    Dynamic Sampling asks for :meth:`ipc` after every interval, so the
+    sum is kept as running totals and every call is O(1).  Only the
+    counts of the functional stretches before the first measurement are
+    held; that measurement re-folds them once.  The fold order is what
+    keeps the result bit-identical to summing the whole segment list:
+    each ``instructions_i / ipc_i`` term is added to a sum starting at
+    ``0.0`` in the order its segment arrived.  ``math.fsum``, multiplying
+    by a reciprocal or regrouping the terms would change the last
+    digits of the estimate.
     """
 
-    #: (instructions, ipc) pairs; ipc None means "not yet known"
-    _segments: List[Tuple[int, Optional[float]]] = field(
-        default_factory=list)
+    _instructions: int = 0
+    #: ``sum(instructions_i / ipc_i)`` folded in segment order; an
+    #: unmeasured stretch counts at IPC 1 (documented choice)
+    _cycles: float = 0.0
     _last_ipc: Optional[float] = None
+    #: functional stretches seen before the first measurement
+    _unmeasured: List[int] = field(default_factory=list)
 
     def add_functional(self, instructions: int) -> None:
         """Account a fast-forwarded stretch."""
         if instructions > 0:
-            self._segments.append((instructions, self._last_ipc))
+            self._instructions += instructions
+            if self._last_ipc is None:
+                self._unmeasured.append(instructions)
+                self._cycles += instructions / 1.0
+            else:
+                self._cycles += instructions / self._last_ipc
 
     def add_timed(self, instructions: int, ipc: float) -> None:
         """Account a measured interval."""
@@ -36,36 +54,28 @@ class SegmentedIpcEstimator:
             return
         if ipc <= 0:
             ipc = self._last_ipc if self._last_ipc else 1e-6
-        self._segments.append((instructions, ipc))
+        self._instructions += instructions
         if self._last_ipc is None:
             # backfill leading functional segments
-            self._segments = [
-                (count, ipc if segment_ipc is None else segment_ipc)
-                for count, segment_ipc in self._segments]
+            cycles = 0.0
+            for count in self._unmeasured:
+                cycles += count / ipc
+            self._cycles = cycles
+            self._unmeasured = []
+        self._cycles += instructions / ipc
         self._last_ipc = ipc
 
     @property
     def total_instructions(self) -> int:
-        return sum(count for count, _ in self._segments)
-
-    @property
-    def timed_samples(self) -> int:
-        return 1 if self._last_ipc is not None else 0
+        return self._instructions
 
     def estimated_cycles(self) -> float:
-        cycles = 0.0
-        for count, ipc in self._segments:
-            if ipc is None or ipc <= 0:
-                # no measurement at all: assume IPC 1 (documented choice)
-                ipc = 1.0
-            cycles += count / ipc
-        return cycles
+        return self._cycles
 
     def ipc(self) -> float:
-        total = self.total_instructions
-        if total == 0:
+        if self._instructions == 0:
             return 0.0
-        return total / self.estimated_cycles()
+        return self._instructions / self._cycles
 
 
 @dataclass

@@ -51,9 +51,7 @@ available in production.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import (TYPE_CHECKING, Dict, List, Optional, Sequence,
-                    Tuple)
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from repro.isa import OpClass, registers
 
@@ -74,8 +72,7 @@ _FP = frozenset((int(OpClass.FP_ADD), int(OpClass.FP_MUL),
                  int(OpClass.FP_DIV), int(OpClass.FP_CVT)))
 _RA = registers.RA
 
-__all__ = ["BlockSemantics", "TimedBlockCodegen",
-           "WarmingBlockCodegen"]
+__all__ = ["TimedBlockCodegen", "WarmingBlockCodegen"]
 
 
 class _Ring:
@@ -818,57 +815,6 @@ class _BlockEmitter:
         return self._line_code(idx)
 
 
-@dataclass(frozen=True)
-class BlockSemantics:
-    """Per-block semantic metadata emitted alongside fused code.
-
-    The symbolic codegen verifier (:mod:`repro.analysis.symexec`)
-    consumes this record at the translator seam: ``flavor`` selects the
-    reference semantics the generated source is proven against, and the
-    structural facts (``faultable``, the per-class presence bits) state
-    what the emitter believed about the block — so a disagreement
-    between the emitter's plan and the decoded instruction stream shows
-    up as a metadata mismatch rather than only as a downstream exit
-    diff.
-    """
-
-    pc0: int
-    length: int
-    flavor: str
-    #: whether any constituent can raise a :class:`GuestFault` after
-    #: the block has started retiring (loads/stores only — every other
-    #: exit retires a statically known count)
-    faultable: bool
-    has_load: bool
-    has_store: bool
-    has_branch: bool
-    has_jump: bool
-
-    @property
-    def classes(self) -> Tuple[str, ...]:
-        present = []
-        for name, bit in (("load", self.has_load),
-                          ("store", self.has_store),
-                          ("branch", self.has_branch),
-                          ("jump", self.has_jump)):
-            if bit:
-                present.append(name)
-        return tuple(present)
-
-
-def _describe_block(consts: _ModelConsts, pc0: int,
-                    instrs: Sequence["Instr"],
-                    flavor: str) -> BlockSemantics:
-    cls = plan_block(pc0, instrs, consts.config).cls
-    has_load = _LOAD in cls
-    has_store = _STORE in cls
-    return BlockSemantics(
-        pc0=pc0, length=len(cls), flavor=flavor,
-        faultable=has_load or has_store,
-        has_load=has_load, has_store=has_store,
-        has_branch=_BRANCH in cls, has_jump=_JUMP in cls)
-
-
 class TimedBlockCodegen:
     """Fused detailed-timing flavour for one :class:`OutOfOrderCore`."""
 
@@ -900,11 +846,6 @@ class TimedBlockCodegen:
               instrs: Sequence["Instr"]) -> _BlockEmitter:
         return _BlockEmitter(self.consts, pc0, instrs, timed=True)
 
-    def describe_block(self, pc0: int,
-                       instrs: Sequence["Instr"]) -> BlockSemantics:
-        """Semantic metadata for one block (verifier input)."""
-        return _describe_block(self.consts, pc0, instrs, self.flavor)
-
     def env(self) -> dict:
         return self._env
 
@@ -929,11 +870,6 @@ class WarmingBlockCodegen:
               instrs: Sequence["Instr"]) -> _BlockEmitter:
         return _BlockEmitter(self.consts, pc0, instrs,
                              timed=False)
-
-    def describe_block(self, pc0: int,
-                       instrs: Sequence["Instr"]) -> BlockSemantics:
-        """Semantic metadata for one block (verifier input)."""
-        return _describe_block(self.consts, pc0, instrs, self.flavor)
 
     def env(self) -> dict:
         return self._env

@@ -1,5 +1,8 @@
 """Tests for paging, the software TLB and the MMU."""
 
+import math
+import struct
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -92,10 +95,28 @@ def test_read_write_roundtrip_all_sizes():
     assert mmu.read_u64(0x18) == 0x1122334455667788
 
 
+def _f64_bits(value):
+    return struct.unpack("<Q", struct.pack("<d", value))[0]
+
+
+def _f64_from_bits(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
 def test_f64_roundtrip():
     mmu, _, _ = make_mmu()
-    mmu.write_f64(0x40, 3.14159)
-    assert mmu.read_f64(0x40) == pytest.approx(3.14159)
+    nan_payload = _f64_from_bits(0x7FF8_0000_DEAD_BEEF)
+    values = [3.14159, -0.0, math.inf, -math.inf, nan_payload, 5e-324]
+    for slot, value in enumerate(values):
+        addr = 0x40 + 8 * slot
+        mmu.write_f64(addr, value)
+        # the stored bytes are the value's IEEE-754 little-endian image,
+        # and a load gives back the same bit pattern (sign of zero and
+        # NaN payload included)
+        assert mmu.read_u64(addr) == _f64_bits(value)
+        assert _f64_bits(mmu.read_f64(addr)) == _f64_bits(value)
+    assert _f64_bits(mmu.read_f64(0x48)) == 1 << 63
+    assert mmu.read_u64(0x60) == 0x7FF8_0000_DEAD_BEEF
 
 
 def test_misaligned_accesses_fault():
@@ -204,10 +225,11 @@ def test_device_pages_route_to_bus():
         def __init__(self):
             self.reads = []
             self.writes = []
+            self.value = 0x5A
 
         def read(self, addr, size):
             self.reads.append((addr, size))
-            return 0x5A
+            return self.value
 
         def write(self, addr, size, value):
             self.writes.append((addr, size, value))
@@ -224,21 +246,51 @@ def test_device_pages_route_to_bus():
     # Device translations are never cached.
     mmu.read_u8(0x8)
     assert len(bus.reads) == 2
+    # f64 accesses move the value's bit pattern over the bus
+    bus.value = _f64_bits(-2.5)
+    assert mmu.read_f64(0x18) == -2.5
+    mmu.write_f64(0x20, -0.0)
+    mmu.write_f64(0x28, math.inf)
+    assert bus.reads[2:] == [(0x18, 8)]
+    assert bus.writes[1:] == [(0x20, 8, 1 << 63),
+                              (0x28, 8, 0x7FF0_0000_0000_0000)]
 
 
 # ----------------------------------------------------------------------
-# property-based: MMU behaves like a flat memory
+# property-based: MMU behaves like a flat little-endian memory
+
+#: access kind -> (size, encoding of the bytes in memory)
+_WIDTHS = {"u8": (1, "<B"), "u16": (2, "<H"), "u32": (4, "<I"),
+           "u64": (8, "<Q"), "f64": (8, "<d")}
+
+_ACCESS = st.tuples(
+    st.booleans(),                                  # store or load
+    st.sampled_from(sorted(_WIDTHS)),
+    st.integers(0, 7),                              # page
+    # the head and the tail of a page, so accesses overlap and reach
+    # the last aligned slot of the page
+    st.one_of(st.integers(0, 31),
+              st.integers(PAGE_SIZE - 32, PAGE_SIZE - 1)),
+    st.integers(-(2**64), 2**65))                   # store value
+
 
 @settings(max_examples=50, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, 8 * PAGE_SIZE - 8),
-                          st.integers(0, 2**64 - 1)),
-                min_size=1, max_size=50))
-def test_mmu_matches_reference_model(writes):
+@given(st.lists(_ACCESS, min_size=1, max_size=60))
+def test_mmu_matches_reference_model(accesses):
     mmu, _, _ = make_mmu(pages=8, tlb_capacity=4)
-    reference = {}
-    for addr, value in writes:
-        addr &= ~7  # align
-        mmu.write_u64(addr, value)
-        reference[addr] = value
-    for addr, value in reference.items():
-        assert mmu.read_u64(addr) == value
+    reference = bytearray(8 * PAGE_SIZE)
+    for store, kind, vpn, offset, value in accesses:
+        size, fmt = _WIDTHS[kind]
+        addr = vpn * PAGE_SIZE + (offset & ~(size - 1))  # align
+        if store:
+            if kind == "f64":
+                value = _f64_from_bits(value & (2**64 - 1))
+                encoded = struct.pack(fmt, value)
+            else:
+                encoded = (value & ((1 << 8 * size) - 1)).to_bytes(
+                    size, "little")
+            getattr(mmu, f"write_{kind}")(addr, value)
+            reference[addr:addr + size] = encoded
+        loaded = getattr(mmu, f"read_{kind}")(addr)
+        assert struct.pack(fmt, loaded) == reference[addr:addr + size]
+    assert mmu.read_block(0, len(reference)) == reference

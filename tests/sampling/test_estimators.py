@@ -66,6 +66,69 @@ def test_segmented_ipc_bounded_by_measurements(segments):
     assert lo - 1e-9 <= est.ipc() <= hi + 1e-9
 
 
+class _SegmentList:
+    """The list-based formula: keep every segment, re-fold on each call.
+
+    Leading functional segments carry IPC ``None`` until the first
+    measurement backfills them; an unmeasured segment counts at IPC 1.
+    """
+
+    def __init__(self):
+        self.segments = []
+        self.last_ipc = None
+
+    def add_functional(self, instructions):
+        if instructions > 0:
+            self.segments.append((instructions, self.last_ipc))
+
+    def add_timed(self, instructions, ipc):
+        if instructions <= 0:
+            return
+        if ipc <= 0:
+            ipc = self.last_ipc if self.last_ipc else 1e-6
+        self.segments.append((instructions, ipc))
+        if self.last_ipc is None:
+            self.segments = [(count, ipc if seg is None else seg)
+                             for count, seg in self.segments]
+        self.last_ipc = ipc
+
+    def cycles(self):
+        cycles = 0.0
+        for count, ipc in self.segments:
+            if ipc is None or ipc <= 0:
+                ipc = 1.0
+            cycles += count / ipc
+        return cycles
+
+    def ipc(self):
+        total = sum(count for count, _ in self.segments)
+        return total / self.cycles() if total else 0.0
+
+
+_FUNCTIONAL = st.tuples(st.just("functional"), st.integers(0, 10**6))
+_TIMED = st.tuples(
+    st.just("timed"), st.integers(0, 10**4),
+    st.one_of(st.floats(1e-3, 8.0),
+              st.sampled_from([0.0, -0.0, -1.5])))   # <= 0: fallback
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_FUNCTIONAL, max_size=5),
+       st.lists(st.one_of(_FUNCTIONAL, _TIMED), max_size=40))
+def test_segmented_running_totals_are_bit_identical(leading, ops):
+    est = SegmentedIpcEstimator()
+    reference = _SegmentList()
+    for op in leading + ops:
+        getattr(est, f"add_{op[0]}")(*op[1:])
+        getattr(reference, f"add_{op[0]}")(*op[1:])
+        # exact equality: the running fold adds the same terms in the
+        # same order as the re-fold over the list
+        assert est.ipc() == reference.ipc()
+        assert est.estimated_cycles() == reference.cycles()
+        assert est.total_instructions == sum(
+            count for count, _ in reference.segments)
+
+
 # ----------------------------------------------------------------------
 # weighted cluster estimator (SimPoint)
 
