@@ -31,8 +31,7 @@ from .rankedset import (RankedSetConfig, RankedSetSampler,
                         ranked_set_subsamples)
 from .simpoint import (BbvCollector, CheckpointedSimPointSampler,
                        MavCollector, SimPointConfig, SimPointSampler,
-                       SimPointSelection, mav_matrix, profile_bbv_mav,
-                       select_simpoints)
+                       SimPointSelection, mav_matrix, select_simpoints)
 from .smarts import SmartsConfig, SmartsSampler
 from .smp import SmpSimulationController, make_controller
 from .stratified import (StratifiedConfig, StratifiedSampler,
@@ -59,7 +58,7 @@ __all__ = [
     "RankedSetConfig", "RankedSetSampler", "ranked_set_subsamples",
     "BbvCollector", "CheckpointedSimPointSampler", "MavCollector",
     "SimPointConfig", "SimPointSampler",
-    "SimPointSelection", "mav_matrix", "profile_bbv_mav",
+    "SimPointSelection", "mav_matrix",
     "select_simpoints",
     "SmartsConfig", "SmartsSampler",
     "StratifiedConfig", "StratifiedSampler", "neyman_allocation",

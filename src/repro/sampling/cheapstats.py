@@ -93,8 +93,8 @@ def collect_cheap_stats(controller: SimulationController,
                 deltas=[{str(name): int(count)
                          for name, count in delta.items()}
                         for delta in cached["deltas"]])
-            controller.breakdown.fast_instructions += \
-                int(cached["fast_instructions"])
+            controller.breakdown.add(
+                "fast", int(cached["fast_instructions"]), 0.0)
             controller.checkpoint_stats["profile_cache_hits"] += 1
             return profile
     profile = CheapStatProfile(interval_length=interval_length)
@@ -118,16 +118,15 @@ def collect_cheap_stats(controller: SimulationController,
         profile.starts.append(start)
         profile.executed.append(executed)
         profile.deltas.append(delta)
-    controller.breakdown.fast_instructions += \
-        replica.breakdown.fast_instructions
-    controller.breakdown.wall_seconds["fast"] += \
-        replica.breakdown.wall_seconds["fast"]
+    spent = replica.breakdown
+    controller.breakdown.add("fast", spent.fast_instructions,
+                             spent.wall_seconds["fast"])
     if use_store:
         ladder.publish_artifact(artifact, {
             "starts": list(profile.starts),
             "executed": list(profile.executed),
             "deltas": [dict(delta) for delta in profile.deltas],
-            "fast_instructions": replica.breakdown.fast_instructions,
+            "fast_instructions": spent.fast_instructions,
         })
     return profile
 

@@ -1,8 +1,9 @@
 """The simulation controller: couples the VM to the timing back-end.
 
 This is the paper's §3 infrastructure in one object: it owns a booted
-guest system and one out-of-order core, and exposes the mode-switching
-primitives that every sampling policy is written in terms of:
+guest system plus one out-of-order core and one functional-warming
+sink per hart, and exposes the mode-switching primitives that every
+sampling policy is written in terms of:
 
 * :meth:`run_fast`            — full-speed functional execution
 * :meth:`run_profile`         — full speed + BBV collection
@@ -11,17 +12,25 @@ primitives that every sampling policy is written in terms of:
 * :meth:`run_timed`           — event mode feeding the detailed core;
   returns the interval's (instructions, cycles)
 
-The controller keeps per-mode instruction counters (for the host-time
-cost model), measures per-mode wall-clock, reads the VM statistics that
-Dynamic Sampling monitors, and — when ``feedback`` is enabled — pushes
-the estimated virtual time back into the guest (``rdcycle``, the timer
-device), closing the loop the paper describes in §3.1.
+The harts come from the booted machine: a sequential workload boots a
+plain :class:`~repro.vm.machine.Machine` (one hart), a parallel one an
+:class:`~repro.vm.smp.SmpMachine` whose interleaver routes each hart's
+event stream to that hart's own sink.  Controller-level accounting —
+intervals, fast-forward targets, the cost model — is kept in **total**
+instructions across harts, so every policy runs unchanged on either.
+A timed interval reports the total instructions and the *maximum*
+per-hart cycle delta (harts run concurrently in simulated time), so
+IPC is chip IPC; with one hart these are the interval's own numbers.
 
-Every mode primitive is an instrumentation seam (``repro.obs``): when
-a tracer is active it emits one ``mode`` span plus a ``vmstats``
-snapshot per call, and ``run_timed`` adds a ``warmstate`` summary of
-the timing core's caches/TLBs/branch predictor.  With no tracer
-installed the per-call cost is a single attribute test.
+Every primitive runs through :meth:`_run`, the one place mode wall
+time is read, and :meth:`_account` charges each stretch to the
+:class:`ModeBreakdown`, the registry counters and — when a tracer is
+active — one ``mode`` span plus a ``vmstats`` snapshot; ``run_timed``
+adds one ``warmstate`` summary per hart of its timing core's
+caches/TLBs/branch predictor.  With no tracer installed the per-call
+cost is a single attribute test.  With ``feedback`` enabled the
+estimated virtual time is pushed back into the guest (``rdcycle``,
+the timer device), closing the loop the paper describes in §3.1.
 """
 
 from __future__ import annotations
@@ -29,16 +38,23 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.kernel import System
+from repro.kernel.checkpoint import Checkpoint
 from repro.kernel.checkpoint import restore as _ckpt_restore
 from repro.timing import (FunctionalWarmingSink, OutOfOrderCore,
                           TimingConfig)
 from repro.timing.codegen import TimedBlockCodegen, WarmingBlockCodegen
-from repro.vm import MODE_EVENT, MODE_FAST, MODE_PROFILE
+from repro.vm import MODE_EVENT, MODE_FAST, MODE_PROFILE, Machine
 from repro.workloads import Workload
+
+if TYPE_CHECKING:
+    from repro.exec.ckptstore import CheckpointLadder
+
+#: the controller modes, in breakdown order
+MODE_NAMES = ("fast", "profile", "warming", "timed")
 
 
 def checkpoints_enabled() -> bool:
@@ -58,7 +74,14 @@ class ModeBreakdown:
     warming_instructions: int = 0
     timed_instructions: int = 0
     wall_seconds: Dict[str, float] = field(default_factory=lambda: {
-        "fast": 0.0, "profile": 0.0, "warming": 0.0, "timed": 0.0})
+        mode: 0.0 for mode in MODE_NAMES})
+
+    def add(self, mode: str, instructions: int, seconds: float) -> None:
+        """Charge one stretch of ``mode`` — the only way a mode is
+        charged, by the controller and by the replica passes alike."""
+        name = f"{mode}_instructions"
+        setattr(self, name, getattr(self, name) + instructions)
+        self.wall_seconds[mode] += seconds
 
     @property
     def total_instructions(self) -> int:
@@ -71,34 +94,49 @@ class ModeBreakdown:
 
 
 class SimulationController:
-    """One benchmark run: a guest system plus a timing core."""
+    """One benchmark run: a guest system plus a timing core per hart."""
 
     def __init__(self, workload: Workload,
                  timing_config: Optional[TimingConfig] = None,
-                 machine_kwargs: Optional[dict] = None,
+                 machine_kwargs: Optional[Dict[str, Any]] = None,
                  feedback: bool = False,
-                 tracer: Optional[obs.Tracer] = None):
+                 tracer: Optional[obs.Tracer] = None) -> None:
         self.workload = workload
         self.machine_kwargs = dict(machine_kwargs or {})
         self.system: System = workload.boot(**self.machine_kwargs)
         self.machine = self.system.machine
+        #: the guest's harts: an SMP machine's cores, else the machine
+        self.harts: Tuple[Machine, ...] = tuple(
+            getattr(self.machine, "cores", (self.machine,)))
+        self.n_cores = len(self.harts)
         self.timing_config = timing_config or TimingConfig.small()
-        self._init_timing()
+        self.timing_cores: Tuple[OutOfOrderCore, ...] = tuple(
+            OutOfOrderCore(self.timing_config) for _ in self.harts)
+        self.warming_sinks: Tuple[FunctionalWarmingSink, ...] = tuple(
+            FunctionalWarmingSink(core) for core in self.timing_cores)
+        if self.timing_config.fast_path:
+            # Fused fast path: event-mode intervals dispatch superblocks
+            # with the timing updates compiled in.  Bit-identical to the
+            # per-instruction sink path (REPRO_SLOW_PATH=1 restores it).
+            for hart, core, sink in zip(self.harts, self.timing_cores,
+                                        self.warming_sinks, strict=True):
+                hart.register_fast_sink(core, TimedBlockCodegen(core))
+                hart.register_fast_sink(sink, WarmingBlockCodegen(sink))
         self.feedback = feedback
         self.breakdown = ModeBreakdown()
-        #: checkpoint ladder (repro.exec.ckptstore.CheckpointLadder)
-        #: enabling fast_forward acceleration; None = plain run_fast
-        self.checkpoints = None
+        #: checkpoint ladder enabling fast_forward acceleration; None =
+        #: plain run_fast
+        self.checkpoints: Optional[CheckpointLadder] = None
         #: restore/publish is only sound while the run has done nothing
         #: but MODE_FAST since boot — a restored image cannot splice in
         #: profile/warming/timed history
         self._pristine_fast = True
         #: last checkpoint of this run's ladder walk (delta parent)
-        self._ladder_parent = None
+        self._ladder_parent: Optional[Checkpoint] = None
         #: pristine fast-forward targets so far — the rung key (see
         #: repro.exec.ckptstore: rungs are only shared between runs
         #: with identical stop histories)
-        self._ff_history: list = []
+        self._ff_history: List[int] = []
         self.checkpoint_stats: Dict[str, int] = {
             "restores": 0, "published": 0,
             "skipped_instructions": 0, "profile_cache_hits": 0}
@@ -113,77 +151,86 @@ class SimulationController:
         registry = obs.get_registry()
         self._m_instructions = {
             mode: registry.counter(f"controller.instructions.{mode}")
-            for mode in ("fast", "profile", "warming", "timed")}
+            for mode in MODE_NAMES}
         self._m_wall = {
             mode: registry.counter(f"controller.wall_seconds.{mode}")
-            for mode in ("fast", "profile", "warming", "timed")}
+            for mode in MODE_NAMES}
         self._m_switches = registry.counter("controller.mode_switches")
         self._m_throughput = {
             mode: registry.gauge(f"controller.throughput.{mode}")
-            for mode in ("fast", "profile", "warming", "timed")}
-
-    def _init_timing(self) -> None:
-        """Create the timing core(s) and bind their fused codegens.
-
-        The SMP controller overrides this to build one detailed core +
-        warming sink per hart; the contract is that afterwards
-        :attr:`core`/:attr:`warming_sink` reference core 0's pair and
-        :attr:`timing_cores`/:attr:`warming_sinks` hold all of them.
-        """
-        self.core = OutOfOrderCore(self.timing_config)
-        self.warming_sink = FunctionalWarmingSink(self.core)
-        self.timing_cores = (self.core,)
-        self.warming_sinks = (self.warming_sink,)
-        if self.core.config.fast_path:
-            # Fused fast path: event-mode intervals dispatch superblocks
-            # with the timing updates compiled in.  Bit-identical to the
-            # per-instruction sink path (REPRO_SLOW_PATH=1 restores it).
-            self.machine.register_fast_sink(
-                self.core, TimedBlockCodegen(self.core))
-            self.machine.register_fast_sink(
-                self.warming_sink, WarmingBlockCodegen(self.warming_sink))
+            for mode in MODE_NAMES}
 
     # ------------------------------------------------------------------
-    # state
+    # state (total-instruction units; per-core views)
 
-    #: number of guest harts (the SMP controller overrides this)
-    n_cores = 1
+    @property
+    def core(self) -> OutOfOrderCore:
+        """Hart 0's timing core (a one-hart guest's whole timing)."""
+        return self.timing_cores[0]
+
+    @core.setter
+    def core(self, core: OutOfOrderCore) -> None:
+        self.timing_cores = (core, *self.timing_cores[1:])
+
+    @property
+    def warming_sink(self) -> FunctionalWarmingSink:
+        """Hart 0's functional-warming sink."""
+        return self.warming_sinks[0]
+
+    @warming_sink.setter
+    def warming_sink(self, sink: FunctionalWarmingSink) -> None:
+        self.warming_sinks = (sink, *self.warming_sinks[1:])
 
     @property
     def finished(self) -> bool:
-        return self.machine.state.halted
+        return self.machine.halted
 
     @property
     def icount(self) -> int:
-        """Guest instructions retired so far (all modes)."""
-        return self.machine.state.icount
+        """Guest instructions retired so far (all modes, all harts)."""
+        return self.machine.total_icount
 
     def read_stat(self, name: str) -> int:
-        """Read one of the monitorable VM statistics (CPU/EXC/IO)."""
-        return self.machine.stats.monitored(name)
+        """Read one of the monitorable VM statistics (CPU/EXC/IO),
+        summed across harts."""
+        return sum(hart.stats.monitored(name) for hart in self.harts)
 
     def read_core_stat(self, core: int, name: str) -> int:
-        """Per-core view of :meth:`read_stat` (core 0 == the machine
-        on a single-core guest)."""
-        if core != 0:
-            raise IndexError(f"single-core guest has no core {core}")
-        return self.machine.stats.monitored(name)
+        """Per-hart view of :meth:`read_stat`."""
+        if not 0 <= core < self.n_cores:
+            raise IndexError(f"guest has no core {core} "
+                             f"({self.n_cores} hart(s))")
+        return self.harts[core].stats.monitored(name)
 
-    def vm_stats_snapshot(self) -> Dict:
-        """The vmstats dict recorded in results and trace events (the
-        SMP controller aggregates across harts here)."""
-        return self.machine.stats.snapshot()
+    def vm_stats_snapshot(self) -> Dict[str, Any]:
+        """The vmstats dict recorded in results and trace events:
+        counters summed across harts, exception kinds merged by name
+        (per-hart views live in :meth:`per_core_vm_stats`)."""
+        per_core = self.per_core_vm_stats()
+        aggregate: Dict[str, Any] = {}
+        for key in per_core[0]:
+            if key == "exception_kinds":
+                merged: Dict[str, int] = {}
+                for snap in per_core:
+                    for kind, count in snap[key].items():
+                        merged[kind] = merged.get(kind, 0) + count
+                aggregate[key] = merged
+            else:
+                aggregate[key] = sum(snap[key] for snap in per_core)
+        return aggregate
 
-    def per_core_vm_stats(self) -> list:
-        """Per-core vmstats snapshots, in core order."""
-        return [self.machine.stats.snapshot()]
+    def per_core_vm_stats(self) -> List[Dict[str, Any]]:
+        """Per-hart vmstats snapshots, in core order."""
+        return [hart.stats.snapshot() for hart in self.harts]
 
     # ------------------------------------------------------------------
     # instrumentation (repro.obs)
 
     def _account(self, mode: str, executed: int, elapsed: float,
                  icount_start: int) -> None:
-        """Metrics + trace events shared by every mode primitive."""
+        """Charge one mode stretch: the breakdown, the registry
+        counters and the ``mode``/``vmstats`` trace events."""
+        self.breakdown.add(mode, executed, elapsed)
         self._m_instructions[mode].add(executed)
         self._m_wall[mode].add(elapsed)
         if elapsed > 0:
@@ -203,7 +250,8 @@ class SimulationController:
     # ------------------------------------------------------------------
     # checkpoint acceleration
 
-    def attach_checkpoints(self, ladder) -> None:
+    def attach_checkpoints(self, ladder: Optional[CheckpointLadder]
+                           ) -> None:
         """Attach a checkpoint ladder consulted by :meth:`fast_forward`."""
         self.checkpoints = ladder
 
@@ -246,8 +294,6 @@ class SimulationController:
             _ckpt_restore(self.system, loaded)
             skipped = self.icount - icount_start
             elapsed = time.perf_counter() - start  # repro: volatile wall-clock telemetry only
-            self.breakdown.wall_seconds["fast"] += elapsed
-            self.breakdown.fast_instructions += skipped
             self._ladder_parent = loaded
             self.checkpoint_stats["restores"] += 1
             self.checkpoint_stats["skipped_instructions"] += skipped
@@ -269,78 +315,84 @@ class SimulationController:
     # ------------------------------------------------------------------
     # execution primitives
 
-    def run_fast(self, instructions: int) -> int:
+    def _run(self, mode: str, instructions: int, engine_mode: str,
+             sinks: Optional[Sequence[Any]] = None) -> int:
+        """Run one stretch of ``mode`` and account it.
+
+        ``sinks`` holds one event sink per hart: a one-hart machine
+        takes its single sink, an SMP machine the whole tuple.
+        """
+        if engine_mode != MODE_FAST:
+            self._pristine_fast = False
+        sink = sinks
+        if sinks is not None and len(sinks) == 1:
+            sink = sinks[0]  # Machine.run takes a single sink
         icount_start = self.icount
         start = time.perf_counter()  # repro: volatile wall-clock telemetry only
-        executed = self.machine.run(instructions, mode=MODE_FAST)
+        executed = self.machine.run(instructions, mode=engine_mode,
+                                    sink=sink)
         elapsed = time.perf_counter() - start  # repro: volatile wall-clock telemetry only
-        self.breakdown.wall_seconds["fast"] += elapsed
-        self.breakdown.fast_instructions += executed
-        self._account("fast", executed, elapsed, icount_start)
+        self._account(mode, executed, elapsed, icount_start)
         return executed
+
+    def run_fast(self, instructions: int) -> int:
+        return self._run("fast", instructions, MODE_FAST)
 
     def run_profile(self, instructions: int) -> int:
-        self._pristine_fast = False
-        icount_start = self.icount
-        start = time.perf_counter()  # repro: volatile wall-clock telemetry only
-        executed = self.machine.run(instructions, mode=MODE_PROFILE)
-        elapsed = time.perf_counter() - start  # repro: volatile wall-clock telemetry only
-        self.breakdown.wall_seconds["profile"] += elapsed
-        self.breakdown.profile_instructions += executed
-        self._account("profile", executed, elapsed, icount_start)
-        return executed
+        return self._run("profile", instructions, MODE_PROFILE)
 
     def take_profile(self) -> Dict[int, int]:
-        """Return and reset the per-block BBV counts."""
-        counts = dict(self.machine.profile_counts)
-        self.machine.profile_counts.clear()
-        return counts
+        """Return and reset the per-block BBV counts, merged across
+        harts (the BBV describes what the chip executed)."""
+        merged = dict(self.harts[0].profile_counts)
+        for hart in self.harts[1:]:
+            for pc, count in hart.profile_counts.items():
+                merged[pc] = merged.get(pc, 0) + count
+        for hart in self.harts:
+            hart.profile_counts.clear()
+        return merged
 
     def run_warming(self, instructions: int) -> int:
         if instructions <= 0:
             return 0
-        self._pristine_fast = False
-        icount_start = self.icount
-        start = time.perf_counter()  # repro: volatile wall-clock telemetry only
-        executed = self.machine.run(instructions, mode=MODE_EVENT,
-                                    sink=self.warming_sink)
-        elapsed = time.perf_counter() - start  # repro: volatile wall-clock telemetry only
-        self.breakdown.wall_seconds["warming"] += elapsed
-        self.breakdown.warming_instructions += executed
-        self._account("warming", executed, elapsed, icount_start)
-        return executed
+        return self._run("warming", instructions, MODE_EVENT,
+                         self.warming_sinks)
 
     def run_timed(self, instructions: int,
-                  measure: bool = True) -> tuple:
-        """Run one detailed interval; returns (instructions, cycles).
+                  measure: bool = True) -> Tuple[int, int]:
+        """Run one detailed interval on every hart (gang-scheduled).
 
+        Returns ``(total instructions, max per-hart cycle delta)``.
         With ``measure=False`` the pipeline still executes (detailed
-        warming, as in SMARTS) but the caller is expected to discard the
-        numbers.
+        warming, as in SMARTS) but the caller is expected to discard
+        the numbers.
         """
         if instructions <= 0:
             return (0, 0)
-        self._pristine_fast = False
-        icount_start = self.icount
-        start = time.perf_counter()  # repro: volatile wall-clock telemetry only
-        checkpoint = self.core.checkpoint()
-        executed = self.machine.run(instructions, mode=MODE_EVENT,
-                                    sink=self.core)
-        elapsed = time.perf_counter() - start  # repro: volatile wall-clock telemetry only
-        self.breakdown.wall_seconds["timed"] += elapsed
-        self.breakdown.timed_instructions += executed
-        cycles = self.core.last_retire_cycle - checkpoint[1]
-        self._account("timed", executed, elapsed, icount_start)
+        cores = self.timing_cores
+        checkpoints = [core.checkpoint() for core in cores]
+        executed = self._run("timed", instructions, MODE_EVENT, cores)
+        per_core_cycles = [
+            core.last_retire_cycle - checkpoint[1]
+            for core, checkpoint in zip(cores, checkpoints, strict=True)]
+        cycles = max(per_core_cycles)
         trace = self._trace
         if trace is not None:
-            branch = self.core.branch
-            trace.emit(obs.EV_WARMSTATE, icount=self.icount,
-                       cycles=cycles, instructions=executed,
-                       ipc=(executed / cycles if cycles else 0.0),
-                       branches=branch.branches,
-                       mispredicts=branch.mispredicts,
-                       btb_misses=branch.btb_misses,
-                       **self.core.hierarchy.stats())
+            for index, core in enumerate(cores):
+                retired = core.retired - checkpoints[index][0]
+                core_cycles = per_core_cycles[index]
+                # the core/cores tags follow the decision events' rule
+                tags = ({"core": index, "cores": self.n_cores}
+                        if self.n_cores > 1 else {})
+                branch = core.branch
+                trace.emit(obs.EV_WARMSTATE, icount=self.icount, **tags,
+                           cycles=core_cycles, instructions=retired,
+                           ipc=(retired / core_cycles
+                                if core_cycles else 0.0),
+                           branches=branch.branches,
+                           mispredicts=branch.mispredicts,
+                           btb_misses=branch.btb_misses,
+                           **core.hierarchy.stats())
         if self.feedback and measure and executed:
             ipc = executed / cycles if cycles else 1.0
             self.advance_virtual_time(executed / max(ipc, 1e-9))
@@ -350,10 +402,11 @@ class SimulationController:
     # timing feedback (paper §3.1; disabled for the paper's experiments)
 
     def advance_virtual_time(self, cycles: float) -> None:
-        """Push estimated cycles into the guest-visible clock."""
+        """Push estimated cycles into every hart's guest-visible clock."""
         self.virtual_cycles += cycles
         now = int(self.virtual_cycles)
-        self.machine.state.cycles = now
+        for hart in self.harts:
+            hart.state.cycles = now
         if self.system.timer is not None:
             self.system.timer.advance(now)
 

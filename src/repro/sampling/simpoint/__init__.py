@@ -4,8 +4,8 @@ from .bbv import BbvCollector, profile_bbv
 from .checkpointed import CheckpointedSimPointSampler
 from .kmeans import (KmeansResult, choose_clustering, kmeans,
                      random_projection)
-from .mav import (MavCollector, mav_matrix, profile_bbv_mav,
-                  stride_bucket, touch_histograms)
+from .mav import (MavCollector, mav_matrix, stride_bucket,
+                  touch_histograms)
 from .simpoint import (SimPointConfig, SimPointSampler, SimPointSelection,
                        select_simpoints, select_simpoints_cached)
 
@@ -13,7 +13,7 @@ __all__ = [
     "BbvCollector", "profile_bbv",
     "CheckpointedSimPointSampler",
     "KmeansResult", "choose_clustering", "kmeans", "random_projection",
-    "MavCollector", "mav_matrix", "profile_bbv_mav",
+    "MavCollector", "mav_matrix",
     "stride_bucket", "touch_histograms",
     "SimPointConfig", "SimPointSampler", "SimPointSelection",
     "select_simpoints", "select_simpoints_cached",

@@ -9,11 +9,14 @@ packs them into a dense matrix for clustering.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 import numpy as np
 
 from ..controller import SimulationController, checkpoints_enabled
+
+if TYPE_CHECKING:
+    from .mav import MavCollector
 
 
 class BbvCollector:
@@ -30,8 +33,14 @@ class BbvCollector:
         #: simulation pass must use these recorded starts.
         self.starts: List[int] = []
 
-    def collect(self, controller: SimulationController) -> int:
-        """Profile the whole remaining run; returns intervals collected."""
+    def collect(self, controller: SimulationController,
+                mav: Optional[MavCollector] = None) -> int:
+        """Profile the whole remaining run; returns intervals collected.
+
+        With ``mav`` attached to the controller's machine, each
+        collected interval also closes one MAV interval, and the fills
+        of an interval that collected no BBV are discarded.
+        """
         controller.take_profile()  # drop any stale counts
         while not controller.finished:
             start = controller.icount
@@ -42,6 +51,10 @@ class BbvCollector:
             if counts:
                 self.vectors.append(counts)
                 self.starts.append(start)
+                if mav is not None:
+                    mav.close_interval()
+            elif mav is not None:
+                mav.discard_pending()
         return len(self.vectors)
 
     def matrix(self) -> np.ndarray:
@@ -61,30 +74,44 @@ class BbvCollector:
 
 
 def profile_bbv(controller: SimulationController,
-                interval_length: int) -> BbvCollector:
+                interval_length: int,
+                mav: Optional[MavCollector] = None) -> BbvCollector:
     """The full-run BBV profile of ``controller``'s workload.
 
     Profiles on a *separate* identical system (the controller's own
-    trajectory is untouched) and merges the profiling cost into the
-    controller's breakdown.  When the controller has a checkpoint
-    ladder attached, the profile is memoized in its store: the BBV
-    profile is a deterministic, engine-invariant function of (program,
-    machine config, interval length), so a cache hit reconstructs the
-    vectors and charges the identical ``profile_instructions`` at
-    near-zero wall-clock — the cost model sees the same run either way.
+    trajectory is untouched) and charges the profiling cost to the
+    controller's ``profile`` mode.  With ``mav`` given the same pass
+    also fills its memory-access-vector histograms.  When the
+    controller has a checkpoint ladder attached, the profile is
+    memoized in its store: the profile is a deterministic,
+    engine-invariant function of (program, machine config, interval
+    length), so a cache hit reconstructs the vectors and charges the
+    identical ``profile_instructions`` at near-zero wall-clock — the
+    cost model sees the same run either way.  Plain profiles are
+    stored as ``profile-N``, MAV-augmented ones as the artifact
+    ``mavprofile-N``, so the two never mix.
     """
     ladder = controller.checkpoints
     use_store = ladder is not None and checkpoints_enabled()
+    artifact = f"mavprofile-{interval_length}"
     collector = BbvCollector(interval_length)
     if use_store:
-        cached = ladder.load_profile(interval_length)
+        cached = (ladder.load_profile(interval_length) if mav is None
+                  else ladder.load_artifact(artifact))
         if cached is not None:
             collector.vectors = [
                 {int(pc): count for pc, count in vector.items()}
                 for vector in cached["vectors"]]
             collector.starts = list(cached["starts"])
-            controller.breakdown.profile_instructions += \
-                cached["profile_instructions"]
+            if mav is not None:
+                mav.page_hists = [
+                    {int(vpn): count for vpn, count in hist.items()}
+                    for hist in cached["page_hists"]]
+                mav.stride_hists = [
+                    {int(bucket): count for bucket, count in hist.items()}
+                    for hist in cached["stride_hists"]]
+            controller.breakdown.add(
+                "profile", cached["profile_instructions"], 0.0)
             controller.checkpoint_stats["profile_cache_hits"] += 1
             return collector
     # Profile on a replica of the controller's own class: a multi-core
@@ -92,17 +119,32 @@ def profile_bbv(controller: SimulationController,
     profiler = type(controller)(
         controller.workload,
         machine_kwargs=controller.machine_kwargs)
-    collector.collect(profiler)
-    controller.breakdown.profile_instructions += \
-        profiler.breakdown.profile_instructions
-    controller.breakdown.wall_seconds["profile"] += \
-        profiler.breakdown.wall_seconds["profile"]
+    if mav is None:
+        collector.collect(profiler)
+    else:
+        mav.attach(profiler.harts)
+        try:
+            collector.collect(profiler, mav)
+        finally:
+            mav.detach()
+    spent = profiler.breakdown
+    controller.breakdown.add("profile", spent.profile_instructions,
+                             spent.wall_seconds["profile"])
     if use_store:
-        ladder.publish_profile(interval_length, {
+        payload = {
             "vectors": [{str(pc): count for pc, count in vector.items()}
                         for vector in collector.vectors],
             "starts": list(collector.starts),
-            "profile_instructions":
-                profiler.breakdown.profile_instructions,
-        })
+            "profile_instructions": spent.profile_instructions,
+        }
+        if mav is None:
+            ladder.publish_profile(interval_length, payload)
+        else:
+            payload["page_hists"] = [
+                {str(vpn): count for vpn, count in hist.items()}
+                for hist in mav.page_hists]
+            payload["stride_hists"] = [
+                {str(bucket): count for bucket, count in hist.items()}
+                for hist in mav.stride_hists]
+            ladder.publish_artifact(artifact, payload)
     return collector

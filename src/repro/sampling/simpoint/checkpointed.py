@@ -85,10 +85,9 @@ class CheckpointedSimPointSampler(Sampler):
         # Checkpoint creation rides on the profiling/fast machinery; in
         # the paper's accounting it is part of the (uncharged for plain
         # SimPoint) preparation cost — record it for transparency.
-        controller.breakdown.profile_instructions += \
-            recorder.breakdown.fast_instructions
-        controller.breakdown.wall_seconds["profile"] += \
-            recorder.breakdown.wall_seconds["fast"]
+        spent = recorder.breakdown
+        controller.breakdown.add("profile", spent.fast_instructions,
+                                 spent.wall_seconds["fast"])
         for key, value in recorder.checkpoint_stats.items():
             controller.checkpoint_stats[key] += value
 

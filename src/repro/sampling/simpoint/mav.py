@@ -30,9 +30,6 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from ..controller import SimulationController, checkpoints_enabled
-from .bbv import BbvCollector
-
 #: stride histogram buckets: 0 = same page, k = bit_length(|delta|)
 #: capped at the last bucket (strides beyond 2^14 pages are one class)
 STRIDE_BUCKETS = 16
@@ -60,14 +57,6 @@ def touch_histograms(fills: Sequence[int]
     return pages, strides
 
 
-def _machine_mmus(machine) -> List:
-    """Every MMU of a machine (one per hart on an SMP guest)."""
-    cores = getattr(machine, "cores", None)
-    if cores is not None:
-        return [core.mmu for core in cores]
-    return [machine.mmu]
-
-
 class MavCollector:
     """Per-interval MAV features riding a profiling pass.
 
@@ -83,8 +72,9 @@ class MavCollector:
         self._log: List[int] = []
         self._mmus: List = []
 
-    def attach(self, machine) -> None:
-        self._mmus = _machine_mmus(machine)
+    def attach(self, harts: Sequence) -> None:
+        """Point every hart's MMU at the one shared fill log."""
+        self._mmus = [hart.mmu for hart in harts]
         for mmu in self._mmus:
             mmu.fill_log = self._log
 
@@ -143,79 +133,3 @@ def mav_matrix(page_hists: Sequence[Dict[int, int]],
             norms[norms == 0] = 1.0
             block /= norms
     return np.hstack([pages, strides]) * weight
-
-
-def profile_bbv_mav(controller: SimulationController,
-                    interval_length: int
-                    ) -> Tuple[BbvCollector, MavCollector]:
-    """One profiling pass collecting BBVs *and* MAV histograms.
-
-    Mirrors :func:`~repro.sampling.simpoint.bbv.profile_bbv`: the pass
-    runs on a replica system, its cost lands in the controller's
-    ``profile`` breakdown, and the result is memoized in the
-    checkpoint ladder — under a MAV-specific artifact name, so plain
-    BBV profiles and augmented ones never mix.
-    """
-    if interval_length <= 0:
-        raise ValueError("interval length must be positive")
-    ladder = controller.checkpoints
-    use_store = ladder is not None and checkpoints_enabled()
-    artifact = f"mavprofile-{interval_length}"
-    collector = BbvCollector(interval_length)
-    mav = MavCollector()
-    if use_store:
-        cached = ladder.load_artifact(artifact)
-        if cached is not None:
-            collector.vectors = [
-                {int(pc): count for pc, count in vector.items()}
-                for vector in cached["vectors"]]
-            collector.starts = list(cached["starts"])
-            mav.page_hists = [
-                {int(vpn): count for vpn, count in hist.items()}
-                for hist in cached["page_hists"]]
-            mav.stride_hists = [
-                {int(bucket): count for bucket, count in hist.items()}
-                for hist in cached["stride_hists"]]
-            controller.breakdown.profile_instructions += \
-                cached["profile_instructions"]
-            controller.checkpoint_stats["profile_cache_hits"] += 1
-            return collector, mav
-    replica = type(controller)(
-        controller.workload,
-        machine_kwargs=controller.machine_kwargs)
-    mav.attach(replica.machine)
-    try:
-        replica.take_profile()  # drop any stale counts
-        while not replica.finished:
-            start = replica.icount
-            executed = replica.run_profile(interval_length)
-            if executed == 0:
-                break
-            counts = replica.take_profile()
-            if counts:
-                collector.vectors.append(counts)
-                collector.starts.append(start)
-                mav.close_interval()
-            else:
-                mav.discard_pending()
-    finally:
-        mav.detach()
-    controller.breakdown.profile_instructions += \
-        replica.breakdown.profile_instructions
-    controller.breakdown.wall_seconds["profile"] += \
-        replica.breakdown.wall_seconds["profile"]
-    if use_store:
-        ladder.publish_artifact(artifact, {
-            "vectors": [{str(pc): count for pc, count in vector.items()}
-                        for vector in collector.vectors],
-            "starts": list(collector.starts),
-            "page_hists": [{str(vpn): count
-                            for vpn, count in hist.items()}
-                           for hist in mav.page_hists],
-            "stride_hists": [{str(bucket): count
-                              for bucket, count in hist.items()}
-                             for hist in mav.stride_hists],
-            "profile_instructions":
-                replica.breakdown.profile_instructions,
-        })
-    return collector, mav

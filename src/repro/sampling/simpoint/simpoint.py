@@ -29,6 +29,7 @@ from ..controller import SimulationController, checkpoints_enabled
 from ..estimators import WeightedClusterEstimator
 from .bbv import profile_bbv
 from .kmeans import choose_clustering, random_projection
+from .mav import MavCollector, mav_matrix
 
 
 @dataclass(frozen=True)
@@ -152,9 +153,9 @@ class SimPointSampler(Sampler):
         # in the checkpoint store when a ladder is attached) ------------
         mav_features = None
         if config.mav:
-            from .mav import mav_matrix, profile_bbv_mav
-            collector, mav = profile_bbv_mav(controller,
-                                             config.interval_length)
+            mav = MavCollector()
+            collector = profile_bbv(controller, config.interval_length,
+                                    mav)
             mav_features = (
                 len({vpn for hist in mav.page_hists for vpn in hist})
                 + len({bucket for hist in mav.stride_hists

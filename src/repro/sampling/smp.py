@@ -1,34 +1,20 @@
-"""Multi-core simulation control: per-hart timing over one guest.
+"""Choosing how a workload is run: the machine kwargs and the class.
 
-:class:`SmpSimulationController` specializes
-:class:`~repro.sampling.controller.SimulationController` for guests
-booted as :class:`~repro.vm.smp.SmpMachine`: one detailed
-out-of-order core and one functional-warming sink *per hart*, each
-consuming exactly its hart's instruction stream (the interleaver routes
-per-core sinks), with all controller-level accounting — intervals,
-fast-forward targets, the cost model — kept in **total** instructions
-across harts so every sampling policy runs unchanged.
-
-Timing aggregation follows the chip-throughput convention: a timed
-interval reports the *total* instructions retired across harts and the
-*maximum* per-hart cycle delta (harts run concurrently in simulated
-time), so IPC is chip IPC and can exceed 1x per-core peak.
-
-:func:`make_controller` picks the right controller class from the
-workload and machine kwargs — the seam the exec worker and harness go
-through.
+:class:`~repro.sampling.controller.SimulationController` drives one
+hart or N itself — :meth:`~repro.workloads.dsl.Workload.boot` picks
+the machine kind.  :func:`make_controller` is the seam the exec worker
+and harness go through: it folds a parallel workload's default core
+count into the machine kwargs (so replica passes, fingerprints and
+store keys see it) and returns :class:`SmpSimulationController` for
+per-hart guests.
 """
 
 from __future__ import annotations
 
-import time
-from typing import Dict, Optional
+from typing import Optional
 
 from repro import obs
-from repro.timing import (FunctionalWarmingSink, OutOfOrderCore,
-                          TimingConfig)
-from repro.timing.codegen import TimedBlockCodegen, WarmingBlockCodegen
-from repro.vm import MODE_EVENT
+from repro.timing import TimingConfig
 from repro.workloads import Workload
 
 from .controller import SimulationController
@@ -37,144 +23,14 @@ __all__ = ["SmpSimulationController", "make_controller"]
 
 
 class SmpSimulationController(SimulationController):
-    """One benchmark run on an N-hart guest, with per-hart timing."""
+    """:class:`SimulationController` as :func:`make_controller`
+    returns it for a per-hart guest; it adds no behaviour."""
 
-    def _init_timing(self) -> None:
-        config = self.timing_config
-        self.timing_cores = tuple(OutOfOrderCore(config)
-                                  for _ in self.machine.cores)
-        self.warming_sinks = tuple(FunctionalWarmingSink(core)
-                                   for core in self.timing_cores)
-        # Core 0's pair keeps the single-core attribute surface alive.
-        self.core = self.timing_cores[0]
-        self.warming_sink = self.warming_sinks[0]
-        if config.fast_path:
-            for machine, timing_core, warming_sink in zip(
-                    self.machine.cores, self.timing_cores,
-                    self.warming_sinks):
-                machine.register_fast_sink(
-                    timing_core, TimedBlockCodegen(timing_core))
-                machine.register_fast_sink(
-                    warming_sink, WarmingBlockCodegen(warming_sink))
-
-    # ------------------------------------------------------------------
-    # state (total-instruction units; per-core views)
-
-    @property
-    def n_cores(self) -> int:
-        return self.machine.n_cores
-
-    @property
-    def finished(self) -> bool:
-        return self.machine.halted
-
-    @property
-    def icount(self) -> int:
-        """Total guest instructions retired across all harts."""
-        return self.machine.total_icount
-
-    def read_stat(self, name: str) -> int:
-        return sum(core.stats.monitored(name)
-                   for core in self.machine.cores)
-
-    def read_core_stat(self, core: int, name: str) -> int:
-        return self.machine.cores[core].stats.monitored(name)
-
-    def vm_stats_snapshot(self) -> Dict:
-        """Chip-wide vmstats: counters summed across harts, exception
-        kinds merged by name (per-hart views live in
-        :meth:`per_core_vm_stats`)."""
-        per_core = self.per_core_vm_stats()
-        aggregate: Dict = {}
-        for key in per_core[0]:
-            if key == "exception_kinds":
-                merged: Dict[str, int] = {}
-                for snap in per_core:
-                    for kind, count in snap[key].items():
-                        merged[kind] = merged.get(kind, 0) + count
-                aggregate[key] = merged
-            else:
-                aggregate[key] = sum(snap[key] for snap in per_core)
-        return aggregate
-
-    def per_core_vm_stats(self) -> list:
-        return [core.stats.snapshot() for core in self.machine.cores]
-
-    def take_profile(self) -> Dict[int, int]:
-        return self.machine.take_profile_counts()
-
-    # ------------------------------------------------------------------
-    # event-mode primitives (per-core sinks through the interleaver)
-
-    def run_warming(self, instructions: int) -> int:
-        if instructions <= 0:
-            return 0
-        self._pristine_fast = False
-        icount_start = self.icount
-        start = time.perf_counter()  # repro: volatile wall-clock telemetry only
-        executed = self.machine.run(instructions, mode=MODE_EVENT,
-                                    sink=self.warming_sinks)
-        elapsed = time.perf_counter() - start  # repro: volatile wall-clock telemetry only
-        self.breakdown.wall_seconds["warming"] += elapsed
-        self.breakdown.warming_instructions += executed
-        self._account("warming", executed, elapsed, icount_start)
-        return executed
-
-    def run_timed(self, instructions: int,
-                  measure: bool = True) -> tuple:
-        """One detailed interval across all harts (gang-scheduled).
-
-        Returns ``(total instructions, max per-hart cycle delta)`` —
-        the chip-throughput IPC convention.  Emits one ``warmstate``
-        trace record per hart, each tagged with its ``core``.
-        """
-        if instructions <= 0:
-            return (0, 0)
-        self._pristine_fast = False
-        icount_start = self.icount
-        start = time.perf_counter()  # repro: volatile wall-clock telemetry only
-        checkpoints = [core.checkpoint() for core in self.timing_cores]
-        executed = self.machine.run(instructions, mode=MODE_EVENT,
-                                    sink=self.timing_cores)
-        elapsed = time.perf_counter() - start  # repro: volatile wall-clock telemetry only
-        self.breakdown.wall_seconds["timed"] += elapsed
-        self.breakdown.timed_instructions += executed
-        per_core_cycles = [
-            core.last_retire_cycle - checkpoint[1]
-            for core, checkpoint in zip(self.timing_cores, checkpoints)]
-        cycles = max(per_core_cycles)
-        self._account("timed", executed, elapsed, icount_start)
-        trace = self._trace
-        if trace is not None:
-            for index, core in enumerate(self.timing_cores):
-                branch = core.branch
-                retired = core.retired - checkpoints[index][0]
-                core_cycles = per_core_cycles[index]
-                trace.emit(obs.EV_WARMSTATE, icount=self.icount,
-                           core=index, cores=self.n_cores,
-                           cycles=core_cycles, instructions=retired,
-                           ipc=(retired / core_cycles
-                                if core_cycles else 0.0),
-                           branches=branch.branches,
-                           mispredicts=branch.mispredicts,
-                           btb_misses=branch.btb_misses,
-                           **core.hierarchy.stats())
-        if self.feedback and measure and executed:
-            ipc = executed / cycles if cycles else 1.0
-            self.advance_virtual_time(executed / max(ipc, 1e-9))
-        return (executed, cycles)
-
-    # ------------------------------------------------------------------
-    # timing feedback
-
-    def advance_virtual_time(self, cycles: float) -> None:
-        """Push estimated cycles into every hart's visible clock."""
-        self.virtual_cycles += cycles
-        now = int(self.virtual_cycles)
-        for core in self.machine.cores:
-            core.state.cycles = now
-        if self.system.timer is not None:
-            self.system.timer.advance(now)
+    # The end-to-end benchmark's layer tracer wraps these two through
+    # this class's own namespace (vars()); aliasing keeps those seams
+    # without a second implementation.
+    run_warming = SimulationController.run_warming
+    run_timed = SimulationController.run_timed
 
 
 def make_controller(workload: Workload,
@@ -183,12 +39,12 @@ def make_controller(workload: Workload,
                     feedback: bool = False,
                     tracer: Optional[obs.Tracer] = None
                     ) -> SimulationController:
-    """Build the right controller for ``workload``.
+    """Build the controller for ``workload``.
 
     A workload boots multi-core when the machine kwargs request
     ``n_cores > 1`` or the workload is inherently parallel (its default
-    core count then applies); everything else gets the plain
-    single-core controller — bit-identical to the pre-SMP code path.
+    core count then applies); those runs get
+    :class:`SmpSimulationController`, everything else the plain class.
     """
     kwargs = dict(machine_kwargs or {})
     n_cores = int(kwargs.get("n_cores", 0) or 0)

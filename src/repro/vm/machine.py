@@ -287,6 +287,18 @@ class Machine:
             for vpn in entry.pages:
                 self.mmu.register_code_page(vpn)
 
+    @property
+    def halted(self) -> bool:
+        """Whether the guest has halted (the SMP machine's test that
+        every hart has, over this machine's one hart)."""
+        return self.state.halted
+
+    @property
+    def total_icount(self) -> int:
+        """Guest instructions retired (the SMP machine's sum over
+        harts, for this machine's one hart)."""
+        return self.state.icount
+
     def post_interrupt(self, irq: int) -> None:
         """Raise an asynchronous interrupt, delivered at the next
         block-dispatch boundary."""

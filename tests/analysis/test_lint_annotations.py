@@ -13,7 +13,7 @@ from repro.analysis.lint import (audit_annotations, default_root,
 #: the shipped tree's escape-hatch population.  This pin is the audit:
 #: adding a new `# repro:` suppression must be a conscious act that
 #: updates this number alongside a justification in the comment.
-EXPECTED_ANNOTATIONS = 32
+EXPECTED_ANNOTATIONS = 22
 
 
 # ----------------------------------------------------------------------

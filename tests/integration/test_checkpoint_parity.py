@@ -85,9 +85,10 @@ def parity_workload():
 
 CONFIG = SimPointConfig(interval_length=1000, max_clusters=10,
                         warmup_length=2000)
+MAV_CONFIG = dataclasses.replace(CONFIG, mav=True)
 
 
-def run_policy_once(sampler_cls, store_root=None):
+def run_policy_once(sampler_cls, store_root=None, config=CONFIG):
     workload = parity_workload()
     controller = SimulationController(
         workload, machine_kwargs=SUITE_MACHINE_KWARGS)
@@ -95,20 +96,27 @@ def run_policy_once(sampler_cls, store_root=None):
         controller.attach_checkpoints(CheckpointLadder(
             CheckpointStore(store_root),
             program_fingerprint(workload), "testcfg"))
-    result = sampler_cls(CONFIG).run(controller)
+    result = sampler_cls(config).run(controller)
     return result.canonical_dict(), dict(controller.checkpoint_stats)
 
 
-@pytest.mark.parametrize("sampler_cls",
-                         [SimPointSampler, CheckpointedSimPointSampler])
-def test_policy_parity_off_cold_warm(sampler_cls, tmp_path, monkeypatch):
+@pytest.mark.parametrize("sampler_cls, config", [
+    pytest.param(SimPointSampler, CONFIG, id="SimPointSampler"),
+    pytest.param(CheckpointedSimPointSampler, CONFIG,
+                 id="CheckpointedSimPointSampler"),
+    # the MAV-augmented profile is stored under its own artifact name
+    pytest.param(SimPointSampler, MAV_CONFIG, id="SimPointSampler-mav"),
+])
+def test_policy_parity_off_cold_warm(sampler_cls, config, tmp_path,
+                                     monkeypatch):
+    store = tmp_path / "ckpt"
     monkeypatch.setenv("REPRO_CHECKPOINTS", "0")
-    disabled, _ = run_policy_once(sampler_cls, tmp_path / "ckpt")
+    disabled, _ = run_policy_once(sampler_cls, store, config)
 
     monkeypatch.setenv("REPRO_CHECKPOINTS", "1")
-    no_store, _ = run_policy_once(sampler_cls, None)
-    cold, cold_stats = run_policy_once(sampler_cls, tmp_path / "ckpt")
-    warm, warm_stats = run_policy_once(sampler_cls, tmp_path / "ckpt")
+    no_store, _ = run_policy_once(sampler_cls, None, config)
+    cold, cold_stats = run_policy_once(sampler_cls, store, config)
+    warm, warm_stats = run_policy_once(sampler_cls, store, config)
 
     assert disabled == no_store == cold == warm
 

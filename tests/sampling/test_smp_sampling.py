@@ -63,6 +63,44 @@ def test_explicit_core_count_wins():
     assert controller.n_cores == 4
 
 
+def test_plain_controller_drives_a_parallel_workload():
+    """The one controller takes its harts from the booted machine, so
+    the constructor the README teaches runs a parallel guest and gives
+    the same result as the routed controller."""
+    for policy_key in ("full", "CPU-300-1M-inf"):
+        direct = policy_factory(policy_key)().run(
+            SimulationController(load_benchmark("pcq", size="tiny")))
+        routed = policy_factory(policy_key)().run(
+            make_controller(load_benchmark("pcq", size="tiny")))
+        assert direct.extra["cores"]["n"] == 2
+        assert direct.canonical_dict() == routed.canonical_dict()
+
+
+@pytest.mark.parametrize("bench", ("gzip", "pcq"))
+def test_read_core_stat_rejects_cores_outside_the_guest(bench):
+    controller = make_controller(load_benchmark(bench, size="tiny"),
+                                 machine_kwargs=SUITE_MACHINE_KWARGS)
+    controller.run_fast(2000)
+    for core in range(controller.n_cores):
+        assert controller.read_core_stat(core, "EXC") >= 0
+    for core in (-1, controller.n_cores):
+        with pytest.raises(IndexError):
+            controller.read_core_stat(core, "EXC")
+
+
+def test_every_mode_is_accounted_on_two_harts():
+    controller = smp_controller(n_cores=2)
+    assert controller.run_fast(3000) > 0
+    assert controller.run_profile(3000) > 0
+    assert controller.run_warming(3000) > 0
+    assert controller.run_timed(3000)[0] > 0
+    breakdown = controller.breakdown
+    assert breakdown.total_instructions == controller.icount
+    assert sorted(breakdown.wall_seconds) \
+        == ["fast", "profile", "timed", "warming"]
+    assert all(seconds > 0 for seconds in breakdown.wall_seconds.values())
+
+
 def test_smp_controller_aggregates_stats():
     controller = smp_controller(n_cores=2)
     controller.run_fast(2000)
@@ -131,6 +169,28 @@ def test_per_core_warm_state_events():
     for payload in warm:
         assert payload["cores"] == 2
         assert payload["instructions"] >= 0
+
+    # one hart (a sequential guest or a one-hart parallel one): no
+    # core/cores tags, the pre-SMP key order, and the interval's own
+    # executed count
+    for bench in ("gzip", "pcq"):
+        sink = obs.RingBufferSink(capacity=100_000)
+        controller = smp_controller(bench=bench, n_cores=1,
+                                    tracer=obs.Tracer(sink))
+        assert controller.n_cores == 1
+        executed = []
+        while not controller.finished:
+            count, _ = controller.run_timed(5000)
+            if count == 0:
+                break
+            executed.append(count)
+        warm = [event.payload for event in sink.events
+                if event.type == obs.EV_WARMSTATE]
+        assert [payload["instructions"] for payload in warm] == executed
+        for payload in warm:
+            assert list(payload)[:6] == [
+                "cycles", "instructions", "ipc", "branches",
+                "mispredicts", "btb_misses"]
 
 
 def test_full_timing_reports_chip_and_per_core_stats():
