@@ -65,16 +65,14 @@ def execute_spec(spec: JobSpec,
             workload, timing_config=TimingConfig.small(),
             machine_kwargs=machine_kwargs, tracer=tracer)
         if spec.checkpoint_root:
-            from repro.sampling.controller import checkpoints_enabled
-            if checkpoints_enabled():
-                from repro.exec.ckptstore import (CheckpointLadder,
-                                                  CheckpointStore,
-                                                  program_fingerprint)
-                from repro.exec.spec import config_fingerprint
-                controller.attach_checkpoints(CheckpointLadder(
-                    CheckpointStore(spec.checkpoint_root),
-                    program_fingerprint(workload),
-                    config_fingerprint(None, machine_kwargs)))
+            from repro.exec.ckptstore import (CheckpointLadder,
+                                              CheckpointStore,
+                                              program_fingerprint)
+            from repro.exec.spec import config_fingerprint
+            controller.attach_checkpoints(CheckpointLadder(
+                CheckpointStore(spec.checkpoint_root),
+                program_fingerprint(workload),
+                config_fingerprint(None, machine_kwargs)))
         result = policy_factory(spec.policy)().run(controller)
     except BaseException:
         if heartbeat is not None:

@@ -17,11 +17,14 @@ reconstructs the deltas and charges the identical instruction counts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Sequence, Tuple
 
 from repro.vm.stats import MONITORABLE
 
-from .controller import SimulationController, checkpoints_enabled
+from .controller import SimulationController
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from .simpoint.bbv import BbvCollector
 
 
 @dataclass
@@ -81,7 +84,7 @@ def collect_cheap_stats(controller: SimulationController,
     if interval_length <= 0:
         raise ValueError("interval length must be positive")
     ladder = controller.checkpoints
-    use_store = ladder is not None and checkpoints_enabled()
+    use_store = ladder is not None
     artifact = f"cheapstats-{interval_length}"
     if use_store:
         cached = ladder.load_artifact(artifact)
@@ -132,15 +135,16 @@ def collect_cheap_stats(controller: SimulationController,
 
 
 def measure_intervals(controller: SimulationController,
-                      profile: CheapStatProfile,
+                      profile: "CheapStatProfile | BbvCollector",
                       indices: Iterable[int],
                       warmup_length: int) -> Dict[int, Tuple[int, int]]:
-    """Detailed pass shared by the two-phase policies.
+    """Detailed pass shared by the two-phase policies and SimPoint.
 
-    Visits the selected interval indices in ascending order,
-    fast-forwarding to each one's warm-up boundary (checkpoint-ladder
-    accelerated when attached), warming, then measuring one interval
-    with the detailed core.  Returns ``{index: (instructions, cycles)}``
+    ``profile`` gives the interval grid (``starts`` and
+    ``interval_length``).  Visits the selected interval indices in
+    ascending order, fast-forwarding to each one's warm-up boundary
+    (checkpoint-ladder accelerated when attached), warming, then
+    measuring one interval with the detailed core.  Returns ``{index: (instructions, cycles)}``
     for every interval that retired at least one instruction; stops
     early if the program finishes under the selection.
     """

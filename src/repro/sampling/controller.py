@@ -252,8 +252,10 @@ class SimulationController:
 
     def attach_checkpoints(self, ladder: Optional[CheckpointLadder]
                            ) -> None:
-        """Attach a checkpoint ladder consulted by :meth:`fast_forward`."""
-        self.checkpoints = ladder
+        """Attach a checkpoint ladder consulted by :meth:`fast_forward`
+        and the store-memoized passes; under ``REPRO_CHECKPOINTS=0`` (read
+        only here) none is kept, so every pass runs unaccelerated."""
+        self.checkpoints = ladder if checkpoints_enabled() else None
 
     def fast_forward(self, to_icount: int) -> int:
         """Advance functional execution to ``to_icount`` instructions.
@@ -271,8 +273,8 @@ class SimulationController:
         many iterations per dispatch, so stopping at an icount the
         original run did not stop at would split dispatches and
         diverge the VM statistics.  Falls back to plain ``run_fast``
-        when acceleration is unavailable: no ladder,
-        ``REPRO_CHECKPOINTS=0``, timing feedback (virtual time would
+        when acceleration is unavailable: no ladder (none attached, or
+        ``REPRO_CHECKPOINTS=0``), timing feedback (virtual time would
         diverge from the recorded image), or the run is no longer
         pristine fast-mode (a restore cannot splice mid-run timing
         state).  Returns instructions advanced (restored + executed).
@@ -281,8 +283,8 @@ class SimulationController:
         if remaining <= 0 or self.finished:
             return 0
         ladder = self.checkpoints
-        if (ladder is None or not checkpoints_enabled()
-                or self.feedback or not self._pristine_fast):
+        if (ladder is None or self.feedback
+                or not self._pristine_fast):
             return self.run_fast(remaining)
         from repro.exec.ckptstore import rung_key  # lazy: import cycle
         self._ff_history.append(to_icount)

@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 
 import numpy as np
 
-from ..controller import SimulationController, checkpoints_enabled
+from ..controller import SimulationController
 
 if TYPE_CHECKING:
     from .mav import MavCollector
@@ -92,7 +92,7 @@ def profile_bbv(controller: SimulationController,
     ``mavprofile-N``, so the two never mix.
     """
     ladder = controller.checkpoints
-    use_store = ladder is not None and checkpoints_enabled()
+    use_store = ladder is not None
     artifact = f"mavprofile-{interval_length}"
     collector = BbvCollector(interval_length)
     if use_store:

@@ -25,7 +25,8 @@ from typing import Callable, Dict, List, Tuple
 import numpy as np
 
 from ..base import Sampler
-from ..controller import SimulationController, checkpoints_enabled
+from ..cheapstats import measure_intervals
+from ..controller import SimulationController
 from ..estimators import WeightedClusterEstimator
 from .bbv import profile_bbv
 from .kmeans import choose_clustering, random_projection
@@ -104,7 +105,7 @@ def select_simpoints_cached(controller: SimulationController,
     selections must never mix.
     """
     ladder = controller.checkpoints
-    use_store = ladder is not None and checkpoints_enabled()
+    use_store = ladder is not None
     name = (f"selection-{config.interval_length}-{config.max_clusters}"
             f"-{config.projection_dims}-{config.bic_threshold}"
             f"-{config.seed}")
@@ -175,27 +176,17 @@ class SimPointSampler(Sampler):
         selection = select_simpoints_cached(controller, matrix_source,
                                             config)
 
-        # ---- pass 2: fast-forward / warm / measure each point ---------
+        # ---- pass 2: fast-forward / warm / measure each point at the
+        # profiled interval's *actual* start ---------------------------
+        measured = measure_intervals(
+            controller, collector,
+            [index for index, _ in selection.points], config.warmup_length)
         estimator = WeightedClusterEstimator()
-        interval = config.interval_length
         for index, weight in selection.points:
-            # use the profiled interval's *actual* start (the profile
-            # grid drifts from exact multiples at block boundaries)
-            start = collector.starts[index]
-            warm_start = max(0, start - config.warmup_length)
-            # checkpoint-accelerated when a ladder is attached; the
-            # first gap is the only pristine-fast one, so later gaps
-            # fall back to plain execution automatically
-            controller.fast_forward(warm_start)
-            warm_gap = start - controller.icount
-            if warm_gap > 0:
-                controller.run_warming(warm_gap)
-            executed, cycles = controller.run_timed(interval)
-            if executed:
+            if index in measured:
+                executed, cycles = measured[index]
                 estimator.add_cluster(weight,
                                       executed / cycles if cycles else 0.0)
-            if controller.finished:
-                break
         outcome = {
             "ipc": estimator.ipc(),
             "timed_intervals": selection.num_points,

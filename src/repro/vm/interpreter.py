@@ -2,14 +2,18 @@
 
 This is the classic fetch-decode-execute loop used by interpreted
 emulators (the slow end of the paper's Figure 1 taxonomy).  The machine
-uses it for exact-length runs (sampling-interval tails) and the test
-suite uses it as an independent reference implementation to co-simulate
-against the binary translator.
+runs it in ``MODE_INTERP`` and as the event-mode oracle under
+``REPRO_SLOW_PATH=1`` (both through ``Machine._run_interp``), and the
+test suite co-simulates the binary translator against it as an
+independent reference implementation.
 
-``step`` executes exactly one instruction at ``state.pc``: it updates
-registers and the PC, optionally emits one event to ``sink`` and returns
-normally, or raises a :class:`~repro.mem.faults.GuestFault` leaving the
-PC at the faulting instruction.
+``step_run`` is the one entry point: it executes one decoded
+straight-line run (a superblock with the translator's boundaries)
+starting at ``state.pc``, updating registers and the PC and emitting
+one event per instruction to ``sink`` when one is given.  A guest
+fault raises :class:`~repro.mem.faults.GuestFault` with the PC at the
+faulting instruction; :meth:`Interpreter.consume_progress` then
+reports how many instructions of the run retired before it.
 """
 
 from __future__ import annotations
@@ -62,8 +66,6 @@ class Interpreter:
         self._gen = 0
         #: instructions retired by the last (possibly faulted) step_run
         self._progress = 0
-        #: full length of the run the last step_run dispatched
-        self._last_run_len = 0
 
     def flush_decode_cache(self) -> None:
         self._decoded.clear()
@@ -124,28 +126,22 @@ class Interpreter:
             if _CLS[instr.op] in _TERMINATORS:
                 break
             current += 4
-        self._register(pc, len(run))
-        return run
-
-    def _register(self, pc: int, length: int) -> None:
-        """Register the pages of a decoded span for SMC detection."""
         pages = self._pages
-        register = self.mmu.register_code_page
-        for vpn in block_pages(pc, length):
+        for vpn in block_pages(pc, len(run)):
             if vpn not in pages:
                 pages.add(vpn)
-                register(vpn)
+                mmu.register_code_page(vpn)
+        return run
 
-    def step_run(self, sink=None, budget: int = 1 << 30) -> int:
+    def step_run(self, sink=None) -> int:
         """Dispatch one superblock as a unit; returns instructions retired.
 
-        Executes decoded instructions back-to-back without the
-        per-``step()`` cache lookup, bumping ``state.icount`` per
-        instruction so guest counter reads stay exact.  Stops at the run
-        end, the ``budget``, a HALT, or a flush of the decode cache
-        (self-modifying code mid-run).  On a guest fault the retired
-        count is recoverable via :meth:`consume_progress` — the faulting
-        instruction itself is *not* counted, matching ``step()``.
+        Executes decoded instructions back-to-back, bumping
+        ``state.icount`` per instruction so guest counter reads stay
+        exact.  Stops at the run end, a HALT, or a flush of the decode
+        cache (self-modifying code mid-run).  On a guest fault the
+        retired count is recoverable via :meth:`consume_progress` — the
+        faulting instruction itself is *not* counted.
         """
         state = self.state
         pc = state.pc
@@ -157,14 +153,11 @@ class Interpreter:
             if len(runs) >= RUN_CACHE_CAPACITY:
                 runs.clear()
             runs[pc] = run
-        self._last_run_len = len(run)
         gen = self._gen
         execute = self._exec
         executed = 0
         try:
             for instr in run:
-                if executed >= budget:
-                    break
                 execute(instr, state.pc, sink)
                 executed += 1
                 state.icount += 1
@@ -184,22 +177,7 @@ class Interpreter:
         return progress
 
     # ------------------------------------------------------------------
-    # single-step (the reference path)
-
-    def step(self, sink=None) -> None:
-        """Execute the instruction at ``state.pc``; see module docstring."""
-        state = self.state
-        pc = state.pc
-        instr = self._decoded.get(pc)
-        if instr is None:
-            word = self.mmu.fetch_word(pc)
-            try:
-                instr = decode(word)
-            except DecodeError:
-                raise IllegalInstruction(pc, word) from None
-            self._decoded[pc] = instr
-            self._register(pc, 1)
-        self._exec(instr, pc, sink)
+    # instruction semantics (the reference path)
 
     def _exec(self, instr, pc: int, sink=None) -> None:
         """Execute one decoded instruction at ``pc``."""
@@ -420,17 +398,3 @@ class Interpreter:
         state.pc = next_pc
         if sink is not None:
             sink.on_inst(pc, _CLS[op], dst, src1, src2, addr, taken, target)
-
-    def run(self, max_instructions: int, sink=None) -> int:
-        """Step up to ``max_instructions``; returns instructions retired.
-
-        Stops early on HALT.  Guest faults propagate to the caller with
-        the PC at the faulting instruction and the retired count lost —
-        use :class:`repro.vm.machine.Machine` for fault handling.
-        """
-        state = self.state
-        executed = 0
-        while executed < max_instructions and not state.halted:
-            self.step(sink)
-            executed += 1
-        return executed

@@ -22,19 +22,24 @@ cache invalidations (CPU), guest exceptions (EXC) and I/O operations
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.mem import (MMU, PageTable, PhysicalMemory)
 from repro.mem.faults import (AlignmentFault, BreakpointTrap, GuestFault,
                               IllegalInstruction, PageFault, SyscallTrap)
 
 from .chain import ChainLinker
-from .code_cache import CodeCache
+from .code_cache import CodeCache, TranslatedBlock
 from .events import InstructionSink
 from .interpreter import Interpreter
 from .state import CpuState
 from .stats import VmStats
 from .translator import FLAVOR_EVENT, FLAVOR_FAST, MAX_BLOCK, Translator
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.devices.bus import Bus
+
+    from .translator import BlockCodegen
 
 MODE_FAST = "fast"
 MODE_EVENT = "event"
@@ -79,10 +84,10 @@ class Machine:
                  code_cache_policy: str = "fifo",
                  tlb_capacity: int = 256,
                  max_block: int = MAX_BLOCK,
-                 bus=None,
+                 bus: Optional["Bus"] = None,
                  phys: Optional[PhysicalMemory] = None,
                  page_table: Optional[PageTable] = None,
-                 core_id: int = 0):
+                 core_id: int = 0) -> None:
         # An SMP guest passes shared phys/page_table objects so every
         # hart executes out of one address space; a plain machine owns
         # fresh ones.
@@ -158,7 +163,7 @@ class Machine:
     # ------------------------------------------------------------------
     # wiring helpers
 
-    def attach_bus(self, bus) -> None:
+    def attach_bus(self, bus: "Bus") -> None:
         """Attach the device bus after construction (used by loaders)."""
         self.bus = bus
         self.mmu.bus = bus
@@ -166,7 +171,8 @@ class Machine:
     def _count_invalidations(self, dropped: int) -> None:
         self.stats.code_cache_invalidations += dropped
 
-    def register_fast_sink(self, sink, codegen) -> None:
+    def register_fast_sink(self, sink: InstructionSink,
+                           codegen: "BlockCodegen") -> None:
         """Bind a fused code generator to an event sink.
 
         MODE_EVENT runs with this sink then dispatch *fused* superblocks
@@ -308,15 +314,14 @@ class Machine:
     # execution
 
     def run(self, max_instructions: int, mode: str = MODE_FAST,
-            sink: Optional[InstructionSink] = None,
-            exact: bool = False) -> int:
+            sink: Optional[InstructionSink] = None) -> int:
         """Execute up to ``max_instructions`` guest instructions.
 
-        Returns the number of instructions actually retired.  Without
-        ``exact`` the run stops at the first basic-block boundary at or
-        beyond the budget (bounded overshoot, the natural stopping grain
-        of a DBT); with ``exact`` the tail runs in the interpreter so the
-        count is exact.  Guest faults are delivered to :attr:`kernel`.
+        Returns the number of instructions actually retired.  Every mode
+        stops at the first basic-block boundary at or beyond the budget
+        (bounded overshoot, the natural stopping grain of a DBT) and
+        delivers pending interrupts there; guest faults are delivered to
+        :attr:`kernel`.  ``MODE_INTERP`` runs :meth:`_run_interp`.
         """
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}")
@@ -325,7 +330,7 @@ class Machine:
         state = self.state
         stats = self.stats
         if mode == MODE_INTERP:
-            total = self._run_exact_tail(max_instructions, sink)
+            total = self._run_interp(max_instructions, sink)
             stats.instructions_interp += total
             return total
         event = mode == MODE_EVENT
@@ -348,8 +353,7 @@ class Machine:
                 # fast path is validated against.  Dispatch boundaries,
                 # icount, vmstats and the sink event stream are
                 # bit-identical to the translated paths by construction.
-                total = self._run_event_interp(max_instructions, sink,
-                                               exact)
+                total = self._run_interp(max_instructions, sink)
                 stats.instructions_event += total
                 return total
             else:
@@ -370,11 +374,9 @@ class Machine:
         total = 0
         profile_counts = self.profile_counts
         # Megablock tier (event mode with a fused binding only): chains
-        # dispatch ahead of the per-block cache.  Never under ``exact``
-        # — chains follow the loop's bounded-overshoot rule, and the
-        # exact tail belongs to the interpreter.
+        # dispatch ahead of the per-block cache.
         linker = None
-        if codegen is not None and self.megablocks and not exact:
+        if codegen is not None and self.megablocks:
             linker = self._chain_linkers.get(id(sink))
         mega_get = linker.mega.get if linker is not None else None
         link_prev = -1
@@ -432,18 +434,13 @@ class Machine:
                             # reset it rather than risk a bogus edge.
                             linker.watch(pc)
                             link_prev = -1
-                if exact and entry.length > remaining:
-                    # The tail interpreter maintains icount itself.
-                    executed = self._run_exact_tail(
-                        remaining, sink if event else None)
-                else:
-                    executed = entry.fn(state, remaining)
-                    stats.block_dispatches += 1
-                    state.icount += executed
-                    if linker is not None and linker.pending:
-                        if link_prev in linker.pending:
-                            linker.observe(link_prev, state.pc)
-                        link_prev = pc
+                executed = entry.fn(state, remaining)
+                stats.block_dispatches += 1
+                state.icount += executed
+                if linker is not None and linker.pending:
+                    if link_prev in linker.pending:
+                        linker.observe(link_prev, state.pc)
+                    link_prev = pc
                 if profile and executed:
                     profile_counts[pc] = \
                         profile_counts.get(pc, 0) + executed
@@ -482,8 +479,12 @@ class Machine:
     # ------------------------------------------------------------------
     # fault and interrupt delivery
 
-    def _deliver_fault(self, fault: GuestFault, entry) -> int:
-        """Handle a guest fault; returns extra retired instructions."""
+    def _deliver_fault(self, fault: GuestFault,
+                       entry: Optional[TranslatedBlock]) -> int:
+        """Handle a guest fault; returns extra retired instructions.
+
+        ``entry`` is the faulting block, or ``None`` when the interpreter
+        raised (it leaves ``state.pc`` at the faulting instruction)."""
         state = self.state
         stats = self.stats
         if isinstance(fault, SyscallTrap):
@@ -519,7 +520,7 @@ class Machine:
             raise MachineError(str(fault)) from fault
         raise MachineError(str(fault)) from fault  # pragma: no cover
 
-    def _restore_fault_pc(self, entry) -> None:
+    def _restore_fault_pc(self, entry: Optional[TranslatedBlock]) -> None:
         """Point ``state.pc`` at the faulting instruction of ``entry``."""
         if entry is not None and getattr(entry, "chained", False):
             # A megablock's fault stub already restored the faulting
@@ -537,124 +538,35 @@ class Machine:
                                                "handle_interrupt"):
             self.kernel.handle_interrupt(self, irq)
 
-    def _run_event_interp(self, count: int, sink, exact: bool) -> int:
-        """Event mode on the per-instruction interpreter (the oracle).
+    def _run_interp(self, count: int,
+                    sink: Optional[InstructionSink]) -> int:
+        """Run on the per-instruction interpreter: ``MODE_INTERP``, and
+        event mode under ``REPRO_SLOW_PATH=1`` (the oracle).
 
-        This is what ``REPRO_SLOW_PATH=1`` selects: every retired
-        instruction goes through :meth:`Interpreter._exec` and one
-        ``sink.on_inst`` call — the reference semantics the fused fast
-        path must reproduce bit-for-bit.  The loop mirrors the
-        translated dispatch loop's observable accounting exactly:
-
-        * interrupts are delivered at run (block) boundaries;
-        * ``block_dispatches`` counts one per completed run, but not
-          runs that fault, nor — under ``exact`` — the clamped tail run
-          (the translated path hands that tail to the interpreter
-          without counting a dispatch);
-        * ``state.icount`` is maintained by the interpreter itself;
-        * fault delivery performs the same kernel upcalls and
-          ``count_exception`` bumps as :meth:`_deliver_fault`.
+        Every retired instruction goes through :meth:`Interpreter._exec`
+        and, with a ``sink``, one ``sink.on_inst`` call — the reference
+        semantics the translated and fused paths must reproduce
+        bit-for-bit.  The loop mirrors the translated dispatch loop's
+        observable accounting exactly: interrupts are delivered at run
+        (block) boundaries, ``block_dispatches`` counts one per
+        completed run, the interpreter maintains ``state.icount``
+        itself, and a guest fault goes through :meth:`_deliver_fault`
+        like every other engine's.
         """
-        executed = 0
+        total = 0
         state = self.state
-        stats = self.stats
         interp = self.interpreter
-        while executed < count and not state.halted:
+        while total < count and not state.halted:
             if self._pending_irqs:
                 self._deliver_interrupt()
                 if state.halted:
                     break
-            remaining = count - executed
             try:
-                ran = interp.step_run(sink,
-                                      remaining if exact else (1 << 30))
-                if not exact or interp._last_run_len <= remaining:
-                    stats.block_dispatches += 1
-                executed += ran
-            except SyscallTrap as trap:
-                executed += interp.consume_progress()
-                stats.count_exception("syscall")
-                if self.kernel is None:
-                    raise MachineError("ecall with no kernel") from trap
-                self.kernel.handle_syscall(self)
-                if not state.halted:
-                    state.pc = trap.pc + 4
-                executed += 1
-                state.icount += 1
-            except BreakpointTrap:
-                executed += interp.consume_progress()
-                stats.count_exception("breakpoint")
-                if self.kernel is not None and hasattr(
-                        self.kernel, "handle_breakpoint"):
-                    self.kernel.handle_breakpoint(self)
-                else:
-                    state.halted = True
-                executed += 1
-                state.icount += 1
-            except PageFault as fault:
-                executed += interp.consume_progress()
-                stats.count_exception("page_fault")
-                if not (self.kernel is not None
-                        and self.kernel.handle_page_fault(self, fault)):
-                    raise MachineError(str(fault)) from fault
-            except AlignmentFault as fault:
-                executed += interp.consume_progress()
-                stats.count_exception("alignment_fault")
-                raise MachineError(str(fault)) from fault
-            except IllegalInstruction as fault:
-                executed += interp.consume_progress()
-                stats.count_exception("illegal_instruction")
-                raise MachineError(str(fault)) from fault
-        return executed
-
-    def _run_exact_tail(self, count: int, sink) -> int:
-        """Interpret exactly ``count`` instructions (fault-safe).
-
-        Dispatches interpreter superblocks (straight-line decoded runs)
-        as units instead of stepping instruction-by-instruction; the
-        interpreter updates ``state.icount`` per retired instruction so
-        guest reads of the counter stay exact mid-stretch, and reports
-        partial progress of faulted runs via ``consume_progress``.
-        """
-        executed = 0
-        state = self.state
-        stats = self.stats
-        interp = self.interpreter
-        while executed < count and not state.halted:
-            try:
-                executed += interp.step_run(sink, count - executed)
-            except SyscallTrap as trap:
-                executed += interp.consume_progress()
-                stats.count_exception("syscall")
-                if self.kernel is None:
-                    raise MachineError("ecall with no kernel") from trap
-                self.kernel.handle_syscall(self)
-                if not state.halted:
-                    state.pc = trap.pc + 4
-                executed += 1
-                state.icount += 1
-            except BreakpointTrap:
-                executed += interp.consume_progress()
-                stats.count_exception("breakpoint")
-                if self.kernel is not None and hasattr(
-                        self.kernel, "handle_breakpoint"):
-                    self.kernel.handle_breakpoint(self)
-                else:
-                    state.halted = True
-                executed += 1
-                state.icount += 1
-            except PageFault as fault:
-                executed += interp.consume_progress()
-                stats.count_exception("page_fault")
-                if not (self.kernel is not None
-                        and self.kernel.handle_page_fault(self, fault)):
-                    raise MachineError(str(fault)) from fault
-            except AlignmentFault as fault:
-                executed += interp.consume_progress()
-                stats.count_exception("alignment_fault")
-                raise MachineError(str(fault)) from fault
-            except IllegalInstruction as fault:
-                executed += interp.consume_progress()
-                stats.count_exception("illegal_instruction")
-                raise MachineError(str(fault)) from fault
-        return executed
+                total += interp.step_run(sink)
+                self.stats.block_dispatches += 1
+            except GuestFault as fault:
+                total += interp.consume_progress()
+                extra = self._deliver_fault(fault, None)
+                state.icount += extra
+                total += extra
+        return total

@@ -202,16 +202,16 @@ class SmpMachine:
         return (sink,) * self.n_cores
 
     def run(self, max_instructions: int, mode: str = MODE_FAST,
-            sink=None, exact: bool = False) -> int:
+            sink=None) -> int:
         """Execute up to ``max_instructions`` *total* instructions,
         dispensed round-robin across live cores in fixed quanta.
 
         Returns total instructions retired.  Each quantum stops at the
-        per-core engine's usual block-boundary grain (interpreter-exact
-        with ``exact=True``), so the interleaving is deterministic and
-        engine-independent.  The rotation restarts at core 0 on every
-        call — budget boundaries are schedule boundaries, which keeps
-        interval accounting coherent across sampling primitives.
+        per-core engine's usual block-boundary grain, so the interleaving
+        is deterministic and engine-independent.  The rotation restarts
+        at core 0 on every call — budget boundaries are schedule
+        boundaries, which keeps interval accounting coherent across
+        sampling primitives.
         """
         if max_instructions <= 0:
             return 0
@@ -228,7 +228,7 @@ class SmpMachine:
                     continue
                 self._focus(core)
                 executed = core.run(min(quantum, remaining), mode=mode,
-                                    sink=sinks[index], exact=exact)
+                                    sink=sinks[index])
                 if executed:
                     progressed = True
                     total += executed

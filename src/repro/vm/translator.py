@@ -9,16 +9,22 @@ translation cache — the same structure that lets SimNow/QEMU run near
 native speed, and the reason instrumenting every instruction is so
 expensive (the paper's core premise).
 
-Two translation *flavours* exist:
+Every flavour's source comes from one instruction walk: each
+instruction's semantics plus the lines the flavour's hooks
+(:class:`BlockHooks`) add around it.
 
-* ``FLAVOR_FAST`` — pure execution.  Blocks that end in a conditional
-  branch back to their own start additionally get an internal loop (the
-  analogue of fragment chaining) so hot loops execute without leaving
-  the translated code until the instruction budget runs out.
+* ``FLAVOR_FAST`` — pure execution (no hook lines).  Blocks that end in
+  a conditional branch back to their own start additionally get an
+  internal loop (the analogue of fragment chaining) so hot loops
+  execute without leaving the translated code until the instruction
+  budget runs out.
 * ``FLAVOR_EVENT`` — identical semantics, plus one ``sink`` call per
   retired instruction carrying the event fields described in
   :mod:`repro.vm.events`.  This is the "sampled mode" of the paper: it
   costs an order of magnitude more than fast mode.
+* fused — a :mod:`repro.timing.codegen` block emitter's timing updates
+  in place of the sink call, inside its prologue and epilogue; megablocks
+  splice several fused walks into one function.
 
 Generated functions have signature ``fn(state, budget) -> executed`` and
 must leave ``state.pc`` at the next instruction to execute.  Before any
@@ -30,14 +36,24 @@ retired instructions precisely.
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, List
+from typing import (TYPE_CHECKING, Any, Callable, List, Optional, Protocol,
+                    Sequence, Tuple)
 
 from repro.isa import DecodeError, Instr, OP_INFO, Op, decode
+from repro.mem import MMU
 from repro.mem.faults import (BreakpointTrap, GuestFault, IllegalInstruction,
                               PageFault, SyscallTrap)
 
 from .code_cache import TranslatedBlock, block_pages
 from .semantics import MASK64, SEMANTIC_HELPERS
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from types import ModuleType
+
+    from repro.timing.codegen import (TimedBlockCodegen,
+                                      WarmingBlockCodegen)
+
+    BlockCodegen = TimedBlockCodegen | WarmingBlockCodegen
 
 FLAVOR_FAST = "fast"
 FLAVOR_EVENT = "event"
@@ -126,13 +142,14 @@ _FP_CMP = {
 }
 
 _TERMINATOR_CLASSES = frozenset((5, 6, 11))  # branch, jump, system
+_MEMORY_CLASSES = frozenset((3, 4))  # load, store
 
 
 def _u_int(index: int) -> int:
     return -1 if index == 0 else index
 
 
-def event_fields(instr: Instr) -> tuple:
+def event_fields(instr: Instr) -> Tuple[int, int, int, int]:
     """``(cls, dst, src1, src2)`` exactly as the event flavour reports.
 
     Single source of truth shared by the event-flavour code generator
@@ -178,6 +195,69 @@ def event_fields(instr: Instr) -> tuple:
     raise AssertionError(f"unhandled opcode {op!r}")  # pragma: no cover
 
 
+class BlockHooks(Protocol):
+    """Source lines a flavour adds to the instruction walk, one method
+    per hook point.  The defaults add nothing (the fast flavour); the
+    fused flavours' hooks are :mod:`repro.timing.codegen` emitters."""
+
+    def instr(self, pc: int, instr: Instr) -> List[str]:
+        """After a non-control-flow instruction's semantics."""
+        return []
+
+    def branch_stages(self, pc: int, instr: Instr) -> List[str]:
+        """Before a conditional branch tests its condition."""
+        return []
+
+    def branch_arm(self, pc: int, instr: Instr, taken: bool,
+                   target: str) -> List[str]:
+        """First in the taken and in the not-taken arm of a branch."""
+        return []
+
+    def jump(self, pc: int, instr: Instr, target: str) -> List[str]:
+        """At ``JAL``/``JALR``, after the link write."""
+        return []
+
+    def system(self, pc: int, instr: Instr) -> List[str]:
+        """Before an ECALL/EBREAK raise; after HALT, RDCYCLE, RDINSTR."""
+        return []
+
+
+class _FastHooks(BlockHooks):
+    """Pure execution: nothing at any hook point."""
+
+
+class _EventHooks(BlockHooks):
+    """One ``sink(pc, cls, dst, src1, src2, addr, taken, target)`` call
+    per retired instruction, with the fields :func:`event_fields` gives."""
+
+    def instr(self, pc: int, instr: Instr) -> List[str]:
+        addr = "ea" if _CLS[instr.op] in _MEMORY_CLASSES else "0"
+        return [self._sink(pc, instr, addr, 0, "0")]
+
+    def branch_arm(self, pc: int, instr: Instr, taken: bool,
+                   target: str) -> List[str]:
+        return [self._sink(pc, instr, "0", int(taken), target)]
+
+    def jump(self, pc: int, instr: Instr, target: str) -> List[str]:
+        return [self._sink(pc, instr, "0", 1, target)]
+
+    def system(self, pc: int, instr: Instr) -> List[str]:
+        if instr.op in (Op.ECALL, Op.EBREAK):
+            target = str((pc + 4) & MASK64)
+        elif instr.op == Op.HALT:
+            target = str(pc)
+        else:  # RDCYCLE, RDINSTR
+            target = "0"
+        return [self._sink(pc, instr, "0", 0, target)]
+
+    @staticmethod
+    def _sink(pc: int, instr: Instr, addr: str, taken: int,
+              target: str) -> str:
+        cls, dst, src1, src2 = event_fields(instr)
+        return (f"sink({pc}, {cls}, {dst}, {src1}, {src2}, {addr}, "
+                f"{taken}, {target})")
+
+
 #: host-level compiled-code cache shared by every Machine in the
 #: process.  A block's generated source — and therefore its compiled
 #: code object — is a pure function of its decoded instructions, its
@@ -202,7 +282,7 @@ _CODE_CACHE_CAPACITY = 8192
 _PROFILER = None
 
 
-def _profiler():
+def _profiler() -> "ModuleType":
     global _PROFILER
     if _PROFILER is None:
         from repro.obs import profiler as _profiler_module
@@ -210,12 +290,13 @@ def _profiler():
     return _PROFILER
 
 
-def _instr_key(instrs) -> tuple:
+def _instr_key(instrs: Sequence[Instr]) -> tuple:
     return tuple((instr.op, instr.rd, instr.rs1, instr.rs2, instr.imm)
                  for instr in instrs)
 
 
-def _block_key(pc: int, instrs, flavor: str, codegen) -> tuple:
+def _block_key(pc: int, instrs: Sequence[Instr], flavor: str,
+               codegen: Optional["BlockCodegen"]) -> tuple:
     return (flavor, pc,
             None if codegen is None else codegen.cache_key,
             _instr_key(instrs))
@@ -229,7 +310,8 @@ class UnspliceableChain(ValueError):
 class Translator:
     """Compiles guest basic blocks to Python; owned by the Machine."""
 
-    def __init__(self, mmu, sink_box: list, max_block: int = MAX_BLOCK):
+    def __init__(self, mmu: MMU, sink_box: list,
+                 max_block: int = MAX_BLOCK) -> None:
         self.mmu = mmu
         self.sink_box = sink_box
         self.max_block = max_block
@@ -249,7 +331,8 @@ class Translator:
     # ------------------------------------------------------------------
 
     def translate(self, pc: int, flavor: str,
-                  codegen=None) -> TranslatedBlock:
+                  codegen: Optional["BlockCodegen"] = None
+                  ) -> TranslatedBlock:
         """Decode and compile the basic block starting at ``pc``.
 
         With a ``codegen`` (see :mod:`repro.timing.codegen`) the block is
@@ -266,19 +349,20 @@ class Translator:
         namespace = dict(self._env_base)
         if codegen is None:
             tier = check_flavor = flavor
-            generate = partial(self._generate, pc, instrs, flavor)
         else:
             namespace.update(codegen.env())
             tier = f"fused-{codegen.flavor}"
             check_flavor = codegen.flavor
-            generate = partial(self._generate_fused, pc, instrs, codegen)
         fn = self._jit(
             _block_key(pc, instrs, flavor, codegen), pc, tier,
-            check_flavor, namespace, generate, instrs=instrs)
+            check_flavor, namespace,
+            partial(self._generate, pc, instrs, flavor, codegen),
+            instrs=instrs)
         return TranslatedBlock(pc, fn, len(instrs),
                                block_pages(pc, len(instrs)))
 
-    def translate_chain(self, fragments, loop_back: bool, codegen,
+    def translate_chain(self, fragments: Sequence[TranslatedBlock],
+                        loop_back: bool, codegen: "BlockCodegen",
                         env: dict) -> Callable:
         """Compile one megablock over resident fused ``fragments``.
 
@@ -309,7 +393,7 @@ class Translator:
 
     def _jit(self, key: tuple, pc: int, tier: str, flavor: str,
              namespace: dict, generate: Callable[[], str],
-             **subject) -> Callable:
+             **subject: Any) -> Callable:
         """The one compile path for blocks and megablocks.
 
         On a host code-cache miss: generate the source, pass it through
@@ -373,19 +457,45 @@ class Translator:
     # ------------------------------------------------------------------
     # code generation
 
-    def _generate(self, pc0: int, instrs: List[Instr], flavor: str) -> str:
-        event = flavor == FLAVOR_EVENT
-        last = instrs[-1]
-        last_pc = pc0 + (len(instrs) - 1) * 4
-        loop = (not event
-                and last.op in _BRANCH_COND
-                and (last_pc + last.imm * 4) & MASK64 == pc0
-                and len(instrs) >= 1)
+    def _generate(self, pc0: int, instrs: Sequence[Instr], flavor: str,
+                  codegen: Optional["BlockCodegen"] = None) -> str:
+        """Source of the ``flavor`` block at ``pc0``; fused with a ``codegen``.
+
+        A fused block is the event flavour's walk with the codegen's
+        emitter as the hooks, so it applies one event's worth of timing
+        per retired instruction, at the sink call's place.  Its exits
+        funnel through one epilogue: ``_n`` counts the instructions whose
+        timing ran, and faults re-raise after the write-back.
+        """
+        length = len(instrs)
         lines: List[str] = ["def _block(state, budget):",
                             "    r = state.regs",
                             "    f = state.fregs"]
-        if event:
+        if codegen is not None:
+            block = codegen.begin(pc0, instrs)
+            lines.extend("    " + text for text in block.prologue(length))
+            lines.append("    try:")
+            self._gen_instrs(lines, "        ", pc0, instrs, block, ())
+            lines += ["    except (SyscallTrap, BreakpointTrap) as _e2:",
+                      "        _n = state.block_progress + 1",
+                      "        _flt = _e2",
+                      "    except GuestFault as _e2:",
+                      "        _n = state.block_progress",
+                      "        _flt = _e2"]
+            lines.extend("    " + text for text in block.epilogue())
+            lines += ["    if _flt is not None:",
+                      "        raise _flt",
+                      f"    return {length}"]
+            return "\n".join(lines) + "\n"
+        last = instrs[-1]
+        last_pc = pc0 + (length - 1) * 4
+        loop = (flavor == FLAVOR_FAST
+                and last.op in _BRANCH_COND
+                and (last_pc + last.imm * 4) & MASK64 == pc0)
+        hooks: BlockHooks = _FastHooks()
+        if flavor == FLAVOR_EVENT:
             lines.append("    sink = SINK[0]")
+            hooks = _EventHooks()
         indent = "    "
         progress = "{i}"
         if loop:
@@ -393,24 +503,32 @@ class Translator:
             lines.append("    while 1:")
             indent = "        "
             progress = "n + {i}"
-
-        for index, instr in enumerate(instrs[:-1]):
-            self._gen_body(lines, indent, instr, pc0 + index * 4, index,
-                           progress, event)
-        self._gen_terminator(lines, indent, last, last_pc,
-                             len(instrs) - 1, len(instrs), pc0, progress,
-                             event, loop)
+        self._gen_instrs(lines, indent, pc0, instrs, hooks,
+                         (f"return {length}",), progress, loop)
         return "\n".join(lines) + "\n"
+
+    def _gen_instrs(self, lines: List[str], ind: str, pc0: int,
+                    instrs: Sequence[Instr], hooks: BlockHooks,
+                    exits: Sequence[str], progress: str = "{i}",
+                    loop: bool = False) -> None:
+        """The one instruction walk every flavour's source comes from;
+        ``progress`` formats the ``state.block_progress`` value."""
+        for index, instr in enumerate(instrs[:-1]):
+            pc = pc0 + index * 4
+            self._gen_body(lines, ind, instr, pc, index, progress)
+            lines.extend(ind + text for text in hooks.instr(pc, instr))
+        index = len(instrs) - 1
+        self._gen_terminator(lines, ind, instrs[-1], pc0 + index * 4, index,
+                             progress, hooks, exits, loop)
 
     # -- non-terminator instructions -----------------------------------
 
     def _gen_body(self, lines: List[str], ind: str, instr: Instr, pc: int,
-                  index: int, progress: str, event: bool) -> None:
+                  index: int, progress: str) -> None:
         op = instr.op
         rd, rs1, rs2, imm = instr.rd, instr.rs1, instr.rs2, instr.imm
         a = f"r[{rs1}]" if rs1 else "0"
         b = f"r[{rs2}]" if rs2 else "0"
-        cls, dst, s1, s2 = event_fields(instr)
         emit = lines.append
 
         def guard() -> None:
@@ -423,23 +541,16 @@ class Translator:
             emit(f"{ind}state.block_progress = "
                  + progress.format(i=index))
 
-        def event_call(addr: str = "0") -> None:
-            if event:
-                emit(f"{ind}sink({pc}, {cls}, {dst}, {s1}, {s2}, {addr}, "
-                     "0, 0)")
-
         if op in _ALU_RR:
             expr = _ALU_RR[op].format(a=a, b=b)
             if rd:
                 emit(f"{ind}r[{rd}] = {expr}")
-            event_call()
         elif op in _ALU_RI:
             expr = _ALU_RI[op].format(
                 a=a, im=imm, imu=imm & MASK64, sh=imm & 63,
                 im16=imm & 0xFFFF)
             if rd:
                 emit(f"{ind}r[{rd}] = {expr}")
-            event_call()
         elif op in _LOADS or op == Op.FLD:
             guard()
             ea = f"({a} + {imm}) & M" if rs1 else f"{imm & MASK64}"
@@ -452,7 +563,6 @@ class Translator:
                     emit(f"{ind}r[{rd}] = {expr}")
                 else:
                     emit(f"{ind}{expr}")
-            event_call("ea")
         elif op in _STORES or op == Op.FSD:
             guard()
             ea = f"({a} + {imm}) & M" if rs1 else f"{imm & MASK64}"
@@ -461,165 +571,31 @@ class Translator:
                 emit(f"{ind}stf(ea, f[{rs2}])")
             else:
                 emit(f"{ind}{_STORES[op].format(ea='ea', b=b)}")
-            event_call("ea")
         elif op in _FP_RR:
             emit(f"{ind}f[{rd}] = {_FP_RR[op].format(rs1=rs1, rs2=rs2)}")
-            event_call()
         elif op in _FP_UNARY:
             emit(f"{ind}f[{rd}] = {_FP_UNARY[op].format(rs1=rs1)}")
-            event_call()
         elif op in _FP_CMP:
             if rd:
                 emit(f"{ind}r[{rd}] = "
                      f"{_FP_CMP[op].format(rs1=rs1, rs2=rs2)}")
-            event_call()
         elif op == Op.FCVTIF:
             emit(f"{ind}f[{rd}] = float(s64({a}))")
-            event_call()
         elif op == Op.FCVTFI:
             if rd:
                 emit(f"{ind}r[{rd}] = f2i(f[{rs1}])")
-            event_call()
         else:  # pragma: no cover - terminators never reach _gen_body
             raise AssertionError(f"unexpected body opcode {op!r}")
 
     # -- terminators ----------------------------------------------------
 
     def _gen_terminator(self, lines: List[str], ind: str, instr: Instr,
-                        pc: int, index: int, length: int, pc0: int,
-                        progress: str, event: bool, loop: bool) -> None:
-        op = instr.op
-        rd, rs1, rs2, imm = instr.rd, instr.rs1, instr.rs2, instr.imm
-        a = f"r[{rs1}]" if rs1 else "0"
-        b = f"r[{rs2}]" if rs2 else "0"
-        cls, dst, s1, s2 = event_fields(instr)
-        fall = (pc + 4) & MASK64
-        emit = lines.append
-
-        def sink_line(taken: int, target: str, indent: str) -> None:
-            if event:
-                emit(f"{indent}sink({pc}, {cls}, {dst}, {s1}, {s2}, 0, "
-                     f"{taken}, {target})")
-
-        if op in _BRANCH_COND:
-            cond = _BRANCH_COND[op].format(a=a, b=b)
-            target = (pc + imm * 4) & MASK64
-            if loop:
-                # Conditional branch back to the block start: iterate
-                # inside the translated code while the budget allows.
-                emit(f"{ind}n += {length}")
-                emit(f"{ind}if {cond}:")
-                emit(f"{ind}    if n + {length} <= budget:")
-                emit(f"{ind}        continue")
-                emit(f"{ind}    state.pc = {pc0}")
-                emit(f"{ind}    return n")
-                emit(f"{ind}state.pc = {fall}")
-                emit(f"{ind}return n")
-                return
-            emit(f"{ind}if {cond}:")
-            sink_line(1, str(target), ind + "    ")
-            emit(f"{ind}    state.pc = {target}")
-            emit(f"{ind}    return {length}")
-            sink_line(0, str(fall), ind)
-            emit(f"{ind}state.pc = {fall}")
-            emit(f"{ind}return {length}")
-            return
-        if op == Op.JAL:
-            target = (pc + imm * 4) & MASK64
-            if rd:
-                emit(f"{ind}r[{rd}] = {fall}")
-            sink_line(1, str(target), ind)
-            emit(f"{ind}state.pc = {target}")
-            emit(f"{ind}return {length}")
-            return
-        if op == Op.JALR:
-            emit(f"{ind}t = ({a} + {imm}) & M & ~3")
-            if rd:
-                emit(f"{ind}r[{rd}] = {fall}")
-            sink_line(1, "t", ind)
-            emit(f"{ind}state.pc = t")
-            emit(f"{ind}return {length}")
-            return
-        if op in (Op.ECALL, Op.EBREAK):
-            trap = "SyscallTrap" if op == Op.ECALL else "BreakpointTrap"
-            emit(f"{ind}state.pc = {pc}")
-            emit(f"{ind}state.block_progress = "
-                 + progress.format(i=index))
-            sink_line(0, str(fall), ind)
-            emit(f"{ind}raise {trap}({pc})")
-            return
-        if op == Op.HALT:
-            emit(f"{ind}state.pc = {pc}")
-            emit(f"{ind}state.halted = True")
-            sink_line(0, str(pc), ind)
-            emit(f"{ind}return {length}")
-            return
-        if op == Op.RDCYCLE:
-            if rd:
-                emit(f"{ind}r[{rd}] = state.cycles & M")
-            sink_line(0, "0", ind)
-            emit(f"{ind}state.pc = {fall}")
-            emit(f"{ind}return {length}")
-            return
-        if op == Op.RDINSTR:
-            if rd:
-                emit(f"{ind}r[{rd}] = (state.icount + {index}) & M")
-            sink_line(0, "0", ind)
-            emit(f"{ind}state.pc = {fall}")
-            emit(f"{ind}return {length}")
-            return
-        # Block ended by MAX_BLOCK or a page edge: plain fallthrough.
-        self._gen_body(lines, ind, instr, pc, index, progress, event)
-        emit(f"{ind}state.pc = {fall}")
-        emit(f"{ind}return {length}")
-
-    # -- fused flavours (fast semantics + inlined timing updates) -------
-
-    def _generate_fused(self, pc0: int, instrs: List[Instr],
-                        codegen) -> str:
-        """One straight-line pass: semantics, then timing, per instruction.
-
-        Control flow mirrors the event flavour exactly — one event's
-        worth of timing per retired instruction, trap timing applied
-        before the trap raises, and the timing of a faulting memory
-        operation never applied (the event flavour's sink call sits after
-        the memory access).  All exits funnel through a single epilogue:
-        ``_n`` counts the instructions whose timing ran, faults are
-        re-raised after the timing state is written back.
-        """
-        length = len(instrs)
-        block = codegen.begin(pc0, instrs)
-        lines: List[str] = ["def _block(state, budget):",
-                            "    r = state.regs",
-                            "    f = state.fregs"]
-        for text in block.prologue(length):
-            lines.append("    " + text)
-        lines.append("    try:")
-        ind = "        "
-        for index, instr in enumerate(instrs[:-1]):
-            self._gen_body(lines, ind, instr, pc0 + index * 4, index,
-                           "{i}", False)
-            for text in block.instr(pc0 + index * 4, instr):
-                lines.append(ind + text)
-        self._gen_fused_terminator(lines, ind, instrs[-1],
-                                   pc0 + (length - 1) * 4, length - 1,
-                                   block)
-        lines.append("    except (SyscallTrap, BreakpointTrap) as _e2:")
-        lines.append("        _n = state.block_progress + 1")
-        lines.append("        _flt = _e2")
-        lines.append("    except GuestFault as _e2:")
-        lines.append("        _n = state.block_progress")
-        lines.append("        _flt = _e2")
-        for text in block.epilogue():
-            lines.append("    " + text)
-        lines.append("    if _flt is not None:")
-        lines.append("        raise _flt")
-        lines.append(f"    return {length}")
-        return "\n".join(lines) + "\n"
-
-    def _gen_fused_terminator(self, lines: List[str], ind: str,
-                              instr: Instr, pc: int, index: int,
-                              block) -> None:
+                        pc: int, index: int, progress: str,
+                        hooks: BlockHooks, exits: Sequence[str],
+                        loop: bool) -> None:
+        """Emit the last instruction; each exit sets ``state.pc``, then
+        ``exits`` (empty when an epilogue or exit stub follows the walk).
+        ``loop`` builds the fast flavour's self-loop form."""
         op = instr.op
         rd, rs1, imm = instr.rd, instr.rs1, instr.imm
         a = f"r[{rs1}]" if rs1 else "0"
@@ -627,77 +603,85 @@ class Translator:
         fall = (pc + 4) & MASK64
         emit = lines.append
 
+        def hook(indent: str, texts: Sequence[str]) -> None:
+            lines.extend(indent + text for text in texts)
+
+        def leave(indent: str, target: object) -> None:
+            emit(f"{indent}state.pc = {target}")
+            hook(indent, exits)
+
         if op in _BRANCH_COND:
             cond = _BRANCH_COND[op].format(a=a, b=b)
             target = (pc + imm * 4) & MASK64
+            if loop:
+                length = index + 1
+                emit(f"{ind}n += {length}")
+                emit(f"{ind}if {cond}:")
+                emit(f"{ind}    if n + {length} <= budget:")
+                emit(f"{ind}        continue")
+                emit(f"{ind}    state.pc = {target}")
+                emit(f"{ind}    return n")
+                emit(f"{ind}state.pc = {fall}")
+                emit(f"{ind}return n")
+                return
             # The pipeline stages don't depend on the branch outcome;
             # only the front-end redirect does, so the arms carry just
             # the control-flow part with taken/target constant-folded.
-            for text in block.branch_stages(pc, instr):
-                emit(ind + text)
+            hook(ind, hooks.branch_stages(pc, instr))
             emit(f"{ind}if {cond}:")
-            for text in block.branch_arm(pc, instr, True, str(target)):
-                emit(ind + "    " + text)
-            emit(f"{ind}    state.pc = {target}")
-            emit(f"{ind}else:")
-            for text in block.branch_arm(pc, instr, False, str(fall)):
-                emit(ind + "    " + text)
-            emit(f"{ind}    state.pc = {fall}")
+            arm = ind + "    "
+            hook(arm, hooks.branch_arm(pc, instr, True, str(target)))
+            leave(arm, target)
+            if exits:
+                arm = ind  # the taken arm has left the block
+            else:
+                emit(f"{ind}else:")
+            hook(arm, hooks.branch_arm(pc, instr, False, str(fall)))
+            leave(arm, fall)
             return
-        if op == Op.JAL:
-            target = (pc + imm * 4) & MASK64
+        if op in (Op.JAL, Op.JALR):
+            if op == Op.JAL:
+                dest = str((pc + imm * 4) & MASK64)
+            else:
+                emit(f"{ind}t = ({a} + {imm}) & M & ~3")
+                dest = "t"
             if rd:
                 emit(f"{ind}r[{rd}] = {fall}")
-            for text in block.jump(pc, instr, str(target)):
-                emit(ind + text)
-            emit(f"{ind}state.pc = {target}")
-            return
-        if op == Op.JALR:
-            emit(f"{ind}t = ({a} + {imm}) & M & ~3")
-            if rd:
-                emit(f"{ind}r[{rd}] = {fall}")
-            for text in block.jump(pc, instr, "t"):
-                emit(ind + text)
-            emit(f"{ind}state.pc = t")
+            hook(ind, hooks.jump(pc, instr, dest))
+            leave(ind, dest)
             return
         if op in (Op.ECALL, Op.EBREAK):
             trap = "SyscallTrap" if op == Op.ECALL else "BreakpointTrap"
             emit(f"{ind}state.pc = {pc}")
-            emit(f"{ind}state.block_progress = {index}")
-            for text in block.system(pc, instr):
-                emit(ind + text)
+            emit(f"{ind}state.block_progress = "
+                 + progress.format(i=index))
+            hook(ind, hooks.system(pc, instr))
             emit(f"{ind}raise {trap}({pc})")
             return
         if op == Op.HALT:
             emit(f"{ind}state.pc = {pc}")
             emit(f"{ind}state.halted = True")
-            for text in block.system(pc, instr):
-                emit(ind + text)
+            hook(ind, hooks.system(pc, instr))
+            hook(ind, exits)
             return
-        if op == Op.RDCYCLE:
+        if op in (Op.RDCYCLE, Op.RDINSTR):
             if rd:
-                emit(f"{ind}r[{rd}] = state.cycles & M")
-            for text in block.system(pc, instr):
-                emit(ind + text)
-            emit(f"{ind}state.pc = {fall}")
-            return
-        if op == Op.RDINSTR:
-            if rd:
-                emit(f"{ind}r[{rd}] = (state.icount + {index}) & M")
-            for text in block.system(pc, instr):
-                emit(ind + text)
-            emit(f"{ind}state.pc = {fall}")
+                value = ("state.cycles" if op == Op.RDCYCLE
+                         else f"(state.icount + {index})")
+                emit(f"{ind}r[{rd}] = {value} & M")
+            hook(ind, hooks.system(pc, instr))
+            leave(ind, fall)
             return
         # Block ended by MAX_BLOCK or a page edge: plain fallthrough.
-        self._gen_body(lines, ind, instr, pc, index, "{i}", False)
-        for text in block.instr(pc, instr):
-            emit(ind + text)
-        emit(f"{ind}state.pc = {fall}")
+        self._gen_body(lines, ind, instr, pc, index, progress)
+        hook(ind, hooks.instr(pc, instr))
+        leave(ind, fall)
 
     # ------------------------------------------------------------------
     # megablock chains (tier 3 — see repro.vm.chain)
 
-    def generate_chain(self, frags, loop_back: bool, codegen) -> str:
+    def generate_chain(self, frags: Sequence[Tuple[int, Sequence[Instr]]],
+                       loop_back: bool, codegen: "BlockCodegen") -> str:
         """Inline-fuse a chain of fused blocks into one megablock.
 
         ``frags`` is the ordered list of ``(pc, instrs)`` constituents.
@@ -807,14 +791,7 @@ class Translator:
                     f"_stadv = {tuple(emitter.pre_st)}[_n]"
                     if emitter.has_store else "_stadv = 0")
             lines.append(f"{ind}try:")
-            for index, instr in enumerate(instrs[:-1]):
-                self._gen_body(lines, bind, instr, pc0 + index * 4,
-                               index, "{i}", False)
-                for text in emitter.instr(pc0 + index * 4, instr):
-                    lines.append(bind + text)
-            self._gen_fused_terminator(lines, bind, instrs[-1],
-                                       pc0 + (length - 1) * 4,
-                                       length - 1, emitter)
+            self._gen_instrs(lines, bind, pc0, instrs, emitter, ())
             lines.append(f"{ind}except (SyscallTrap, BreakpointTrap) "
                          "as _e2:")
             lines.append(f"{ind}    _n = state.block_progress + 1")

@@ -17,6 +17,7 @@ from repro.obs import disable_metrics, enable_metrics, reset_metrics
 from repro.timing import OutOfOrderCore, TimingConfig
 from repro.timing.codegen import TimedBlockCodegen, WarmingBlockCodegen
 from repro.timing.warming import FunctionalWarmingSink
+from repro.vm.translator import FLAVOR_EVENT
 
 #: a load/add/store block ending in a jump, then an ECALL block
 PROGRAM = """
@@ -59,9 +60,10 @@ def blocks():
     return {
         "fast": Block(tr._generate(pc, instrs, "fast"), env, "fast", pc,
                       instrs),
-        "timed": Block(tr._generate_fused(pc, instrs, timed),
+        "timed": Block(tr._generate(pc, instrs, FLAVOR_EVENT, timed),
                        env | set(timed.env()), "timed", pc, instrs),
-        "warm-ecall": Block(tr._generate_fused(ecall_pc, ecall, warm),
+        "warm-ecall": Block(tr._generate(ecall_pc, ecall, FLAVOR_EVENT,
+                                         warm),
                             env | set(warm.env()), "warm", ecall_pc,
                             ecall),
     }

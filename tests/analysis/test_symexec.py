@@ -15,6 +15,7 @@ from repro.kernel import boot
 from repro.timing import OutOfOrderCore, TimingConfig
 from repro.timing.codegen import TimedBlockCodegen, WarmingBlockCodegen
 from repro.timing.warming import FunctionalWarmingSink
+from repro.vm.translator import FLAVOR_EVENT
 
 MASK64 = (1 << 64) - 1
 
@@ -189,7 +190,7 @@ def test_fused_timed_and_warm_blocks_verify(translated):
         for pc, instrs in blocks:
             for cg, flavor in ((cg_t, "timed"), (cg_w, "warm")):
                 try:
-                    source = tr._generate_fused(pc, instrs, cg)
+                    source = tr._generate(pc, instrs, FLAVOR_EVENT, cg)
                 except ValueError:
                     continue  # dynamic ring addressing: no fused form
                 diffs = verify_block_source(

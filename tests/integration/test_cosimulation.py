@@ -124,26 +124,6 @@ def test_chunked_execution_matches_single_run(source, chunk):
     assert chunked.machine.state.icount == whole.machine.state.icount
 
 
-def test_exact_chunking_matches():
-    source = """
-    _start:
-        li t0, 0
-        li t1, 5000
-    loop:
-        addi t0, t0, 1
-        and  t2, t0, t1
-        blt t0, t1, loop
-        halt
-    """
-    whole = boot(assemble(source))
-    whole.run_to_completion()
-    exact = boot(assemble(source))
-    while not exact.machine.state.halted:
-        exact.run(97, exact=True)
-    assert exact.machine.state.regs == whole.machine.state.regs
-    assert exact.machine.state.icount == whole.machine.state.icount
-
-
 @pytest.mark.parametrize("tlb_capacity", [2, 16, 256])
 @pytest.mark.parametrize("cache_capacity", [2, 8, 512])
 def test_resource_bounds_do_not_change_semantics(tlb_capacity,

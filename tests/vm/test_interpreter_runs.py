@@ -59,18 +59,6 @@ def test_max_run_override_caps_dispatch():
     machine = fresh(STRAIGHT_LINE)
     interp = Interpreter(machine.state, machine.mmu, max_run=4)
     assert interp.step_run() == 4
-    assert interp._last_run_len == 4
-
-
-def test_budget_clamps_but_run_length_is_recorded():
-    machine = fresh(STRAIGHT_LINE)
-    interp = machine.interpreter
-    executed = interp.step_run(budget=3)
-    assert executed == 3
-    # the dispatched run was longer than the budget: the machine uses
-    # this to tell an exact-clamped tail from a completed dispatch
-    assert interp._last_run_len == 11  # 10 addi + halt
-    assert machine.state.icount == 3
 
 
 def test_step_run_counts_icount_and_halts():

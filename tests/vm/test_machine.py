@@ -5,8 +5,8 @@ import pytest
 from repro.isa import assemble
 from repro.kernel import boot
 from repro.mem import PAGE_SIZE
-from repro.vm import (MODE_EVENT, MODE_FAST, MODE_PROFILE, Machine,
-                      MachineError, NullSink, RecordingSink)
+from repro.vm import (MODE_EVENT, MODE_FAST, MODE_INTERP, MODE_PROFILE,
+                      Machine, MachineError, NullSink, RecordingSink)
 
 
 def test_unknown_mode_rejected():
@@ -252,6 +252,33 @@ def test_interrupt_delivery():
     system.run(100)
     assert system.kernel.timer_fired == 1
     assert system.machine.stats.exception_kinds.get("interrupt") == 1
+
+
+def test_interp_mode_matches_the_slow_path_oracle():
+    source = """
+    _start:
+        li t0, 0
+        li t1, 100000
+    loop:
+        addi t0, t0, 1
+        blt t0, t1, loop
+        halt
+    """
+    runs = []
+    for mode in (MODE_INTERP, MODE_EVENT):
+        system = boot(assemble(source))
+        system.machine.fast_path = False  # event mode: the oracle
+        sink = RecordingSink()
+        system.run(100, mode=mode, sink=sink)
+        system.machine.post_interrupt(1)
+        system.run(100, mode=mode, sink=sink)
+        assert system.kernel.timer_fired == 1
+        stats = system.machine.stats.snapshot()
+        retired = (stats.pop("instructions_interp")
+                   + stats.pop("instructions_event"))
+        runs.append((system.machine.state.snapshot(), sink.events, stats,
+                     retired))
+    assert runs[0] == runs[1]
 
 
 def test_snapshot_restore_state():

@@ -191,22 +191,6 @@ def test_budget_respected_by_loop_blocks():
     assert not system.machine.state.halted
 
 
-def test_exact_run_is_exact():
-    source = """
-    _start:
-        li t0, 0
-        li t1, 1000000
-    loop:
-        addi t0, t0, 1
-        blt t0, t1, loop
-        halt
-    """
-    system = boot(assemble(source))
-    executed = system.run(12345, exact=True)
-    assert executed == 12345
-    assert system.machine.state.icount == 12345
-
-
 def test_jal_jalr_link():
     system = run_fragment("""
         call func
