@@ -176,7 +176,7 @@ class StoreDisciplineRule(Rule):
     directive = "store-ok"
 
     #: substrings marking a module as store code
-    STORE_MARKERS: Tuple[str, ...] = ("results-v2", "checkpoints-v1",
+    STORE_MARKERS: Tuple[str, ...] = ("results-v2", "checkpoints-v2",
                                       "telemetry-v1")
 
     def applies_to(self, source: SourceFile) -> bool:

@@ -7,7 +7,7 @@ holds the same :class:`~repro.exec.store.FileLock`, so pool workers can
 publish and consume checkpoints concurrently and a crashed run resumes
 from whatever ladder survived.
 
-Layout (``<cache>/checkpoints-v1/``)::
+Layout (``<cache>/checkpoints-v2/``)::
 
     blobs/<dd>/<digest>.z            zlib frame blobs, content-addressed
     <program_fp>/<config_fp>/
@@ -19,10 +19,12 @@ A manifest records the full guest state of one
 :class:`repro.kernel.checkpoint.Checkpoint` except frame *contents*,
 which it references by hash — so a ladder of N rungs stores each
 distinct page image exactly once, and delta rungs cost only their dirty
-pages.  Ladders are keyed by (program fingerprint, machine-config
-fingerprint): the guest prefix is pure functional execution, so any job
-of the same benchmark and machine shape can share rungs regardless of
-timing configuration.
+pages.  Its ``cores`` list holds one snapshot per hart for any hart
+count (``-v2``: older ladders kept a sole hart at top level).  Ladders
+are keyed by (program fingerprint, machine-config fingerprint): the
+guest prefix is pure functional execution, so any job of the same
+benchmark and machine shape can share rungs regardless of timing
+configuration.
 
 Within a ladder, rungs are keyed by the run's *fast-forward target
 history* — the sequence of pristine ``fast_forward`` targets that led
@@ -44,7 +46,7 @@ import re
 import uuid
 import zlib
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional
 
 from repro.kernel.checkpoint import Checkpoint, take as take_checkpoint
 
@@ -55,7 +57,7 @@ __all__ = [
     "program_fingerprint", "rung_key",
 ]
 
-CKPT_DIR_NAME = "checkpoints-v1"
+CKPT_DIR_NAME = "checkpoints-v2"
 
 _RUNG_RE = re.compile(r"^ckpt-([0-9a-f]+)\.json$")
 
@@ -107,6 +109,18 @@ def _str_keys(mapping: Dict) -> Dict:
     return {str(key): value for key, value in mapping.items()}
 
 
+def _hart_codec(snap: Dict, keys: Callable[[Dict], Dict]) -> Dict:
+    """One hart's snapshot with its profile-count keys mapped by
+    ``keys`` (``_str_keys`` to encode, ``_int_keys`` to decode)."""
+    return {
+        "cpu": snap["cpu"],
+        "stats": snap["stats"],
+        "profile_counts": keys(snap["profile_counts"]),
+        "pending_irqs": list(snap["pending_irqs"]),
+        "fast_cache": list(snap["fast_cache"]),
+    }
+
+
 def encode_manifest(checkpoint: Checkpoint) -> Dict:
     """Flatten a checkpoint to a JSON-safe manifest (no frame bytes)."""
     disk = dict(checkpoint.disk)
@@ -121,34 +135,19 @@ def encode_manifest(checkpoint: Checkpoint) -> Dict:
     kernel = dict(checkpoint.kernel)
     kernel["regions"] = [list(region) for region in kernel["regions"]]
     kernel["syscall_counts"] = _str_keys(kernel["syscall_counts"])
-    manifest = {
-        "cpu": checkpoint.cpu,
+    return {
         "frame_hashes": _str_keys(checkpoint.frame_hashes),
         "next_free_frame": checkpoint.next_free_frame,
         "page_table": {str(vpn): list(entry)
                        for vpn, entry in checkpoint.page_table.items()},
-        "stats": checkpoint.stats,
-        "profile_counts": _str_keys(checkpoint.profile_counts),
-        "pending_irqs": list(checkpoint.pending_irqs),
-        "fast_cache": list(checkpoint.fast_cache),
+        "cores": [_hart_codec(snap, _str_keys)
+                  for snap in checkpoint.cores],
         "kernel": kernel,
         "console": console,
         "disk": disk,
         "timer": checkpoint.timer,
         "nic": nic,
     }
-    if checkpoint.cores is not None:
-        # SMP only: single-core manifests stay byte-identical to the
-        # pre-SMP format, so committed ladders remain loadable (and
-        # shareable) across versions.
-        manifest["cores"] = [{
-            "cpu": snap["cpu"],
-            "stats": snap["stats"],
-            "profile_counts": _str_keys(snap["profile_counts"]),
-            "pending_irqs": list(snap["pending_irqs"]),
-            "fast_cache": list(snap["fast_cache"]),
-        } for snap in checkpoint.cores]
-    return manifest
 
 
 def decode_manifest(data: Dict, blobs: Dict[str, bytes]) -> Checkpoint:
@@ -165,32 +164,18 @@ def decode_manifest(data: Dict, blobs: Dict[str, bytes]) -> Checkpoint:
     kernel = dict(data["kernel"])
     kernel["regions"] = [tuple(region) for region in kernel["regions"]]
     kernel["syscall_counts"] = _int_keys(kernel["syscall_counts"])
-    cores = None
-    if data.get("cores") is not None:
-        cores = [{
-            "cpu": snap["cpu"],
-            "stats": snap["stats"],
-            "profile_counts": _int_keys(snap["profile_counts"]),
-            "pending_irqs": list(snap["pending_irqs"]),
-            "fast_cache": list(snap["fast_cache"]),
-        } for snap in data["cores"]]
     return Checkpoint(
-        cpu=data["cpu"],
         frame_hashes=_int_keys(data["frame_hashes"]),
         blobs=blobs,
         next_free_frame=data["next_free_frame"],
         page_table={int(vpn): tuple(entry)
                     for vpn, entry in data["page_table"].items()},
-        stats=data["stats"],
-        profile_counts=_int_keys(data["profile_counts"]),
-        pending_irqs=list(data["pending_irqs"]),
-        fast_cache=list(data["fast_cache"]),
+        cores=[_hart_codec(snap, _int_keys) for snap in data["cores"]],
         kernel=kernel,
         console=console,
         disk=disk,
         timer=data["timer"],
         nic=nic,
-        cores=cores,
     )
 
 

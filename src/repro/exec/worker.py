@@ -37,7 +37,8 @@ def execute_spec(spec: JobSpec,
     from repro.harness.experiments import policy_factory
     from repro.sampling import make_controller
     from repro.timing import TimingConfig
-    from repro.workloads import SUITE_MACHINE_KWARGS, load_benchmark
+    from repro.workloads import (SUITE_MACHINE_KWARGS, load_benchmark,
+                                 smp_cores)
 
     owned_tracer = None
     if tracer is None and spec.events_path:
@@ -57,10 +58,11 @@ def execute_spec(spec: JobSpec,
         workload = load_benchmark(spec.benchmark, size=spec.size)
         machine_kwargs = dict(SUITE_MACHINE_KWARGS)
         # Single-core jobs keep the exact historical kwargs (and thus
-        # fingerprint); any SMP job — multi-core, or an inherently
-        # parallel benchmark at any count — pins its count explicitly.
-        if spec.cores > 1 or getattr(workload, "parallel", False):
-            machine_kwargs["n_cores"] = spec.cores
+        # fingerprint); an SMP job pins its hart count explicitly.
+        n_cores = smp_cores(workload.parallel, workload.n_cores,
+                            spec.cores)
+        if n_cores is not None:
+            machine_kwargs["n_cores"] = n_cores
         controller = make_controller(
             workload, timing_config=TimingConfig.small(),
             machine_kwargs=machine_kwargs, tracer=tracer)

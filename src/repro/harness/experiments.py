@@ -145,17 +145,16 @@ def make_spec(benchmark: str, policy: str, size: str = "small",
     into the fingerprint so core counts can never share cached results.
     """
     from repro.workloads import (default_benchmark_cores,
-                                 is_parallel_benchmark)
+                                 is_parallel_benchmark, smp_cores)
     policy = normalize_policy(policy)
     policy_factory(policy)  # raises KeyError for unknown keys up front
-    if cores is None:
-        cores = default_benchmark_cores(benchmark)
-    cores = max(1, int(cores))
+    default_cores = default_benchmark_cores(benchmark)
+    cores = max(1, int(default_cores if cores is None else cores))
     if fingerprint is None:
-        if cores > 1 or is_parallel_benchmark(benchmark):
-            fingerprint = smp_fingerprint(cores)
-        else:
-            fingerprint = default_fingerprint()
+        n_cores = smp_cores(is_parallel_benchmark(benchmark),
+                            default_cores, cores)
+        fingerprint = (default_fingerprint() if n_cores is None
+                       else smp_fingerprint(n_cores))
     return JobSpec(benchmark=benchmark, policy=policy, size=size,
                    fingerprint=fingerprint, cores=cores)
 

@@ -197,60 +197,12 @@ def _squash(values: List[int], limit: int = 24) -> str:
 # ----------------------------------------------------------------------
 # figures 5-9
 
-def _policy_suite_numbers(policies: Sequence[str], size: str,
-                          benchmarks: Sequence[str]) -> Dict[str, dict]:
-    """Per-policy mean error and suite speedup vs full timing.
-
-    All cells are fetched through the experiment engine in one batch,
-    so a parallel engine (``REPRO_JOBS``) fills the whole grid
-    concurrently.
-    """
-    wanted = list(dict.fromkeys(list(policies) + ["full"]))
-    grid = fetch_results(wanted, list(benchmarks), size=size)
-    full = {name: grid[(name, "full")] for name in benchmarks}
-    full_seconds = sum(result.modeled_seconds
-                       for result in full.values())
-    numbers = {}
-    for policy in policies:
-        if policy == "full":
-            numbers[policy] = {
-                "error": 0.0, "speedup": 1.0,
-                "seconds": full_seconds,
-                "ipc": (sum(r.ipc for r in full.values())
-                        / len(full))}
-            continue
-        results = {name: grid[(name, policy)] for name in benchmarks}
-        errors = [accuracy_error(results[name].ipc, full[name].ipc)
-                  for name in benchmarks]
-        seconds = sum(modeled_seconds_for(policy, results[name])
-                      for name in benchmarks)
-        numbers[policy] = {
-            "error": sum(errors) / len(errors),
-            "speedup": full_seconds / seconds if seconds else math.inf,
-            "seconds": seconds,
-            "ipc": sum(r.ipc for r in results.values()) / len(results),
-            "per_benchmark": {name: {
-                "ipc": results[name].ipc,
-                "error": accuracy_error(results[name].ipc,
-                                        full[name].ipc),
-                "seconds": modeled_seconds_for(policy, results[name]),
-            } for name in benchmarks},
-        }
-    numbers.setdefault("full", {})
-    numbers["full"].update({
-        "per_benchmark": {name: {
-            "ipc": full[name].ipc, "error": 0.0,
-            "seconds": full[name].modeled_seconds,
-        } for name in benchmarks}})
-    return numbers
-
-
 def build_figure5(size: str = "small",
                   benchmarks: Optional[Sequence[str]] = None
                   ) -> Tuple[str, dict]:
     """Figure 5: accuracy error vs speedup, with the Pareto frontier."""
     benchmarks = list(benchmarks or default_benchmarks())
-    numbers = _policy_suite_numbers(FIGURE5_POLICIES, size, benchmarks)
+    numbers = sweep_policies(FIGURE5_POLICIES, benchmarks, size)
     points = [(policy,
                numbers[policy]["error"] * 100,
                numbers[policy]["speedup"])
@@ -280,14 +232,16 @@ def build_figure6(size: str = "small",
                   ) -> Tuple[str, dict]:
     """Figure 6: mean IPC per policy with accuracy-error labels."""
     benchmarks = list(benchmarks or default_benchmarks())
-    numbers = _policy_suite_numbers(FIGURE6_POLICIES, size, benchmarks)
-    rows = [(policy, numbers[policy].get("ipc", 0.0),
-             f"{numbers[policy].get('error', 0.0) * 100:.1f}")
-            for policy in FIGURE6_POLICIES]
+    numbers = sweep_policies(FIGURE6_POLICIES, benchmarks, size)
+    rows = []
+    for policy in FIGURE6_POLICIES:
+        cells = numbers[policy]["per_benchmark"].values()
+        rows.append((policy, sum(cell["ipc"] for cell in cells) / len(cells),
+                     f"{numbers[policy]['error'] * 100:.1f}"))
     table = format_table(("policy", "mean IPC", "error %"), rows,
                          title="Figure 6: IPC per timing policy "
                                f"(size={size})")
-    return table + "\n", {policy: numbers[policy].get("error")
+    return table + "\n", {policy: numbers[policy]["error"]
                           for policy in FIGURE6_POLICIES}
 
 
@@ -298,7 +252,7 @@ def build_figure7(size: str = "small",
     benchmarks = list(benchmarks or default_benchmarks())
     policies = ("full", "smarts", "simpoint", "simpoint+prof") + \
         FIGURE6_POLICIES[3:]
-    numbers = _policy_suite_numbers(policies, size, benchmarks)
+    numbers = sweep_policies(policies, benchmarks, size)
     rows = [(policy, f"{numbers[policy]['seconds']:.2f}",
              f"{numbers[policy]['speedup']:.1f}")
             for policy in policies]
@@ -316,7 +270,7 @@ def build_figure8(size: str = "small",
     """Figure 8: per-benchmark IPC for the four headline policies."""
     benchmarks = list(benchmarks or default_benchmarks())
     policies = ("full", "smarts", "simpoint", "CPU-300-1M-inf")
-    numbers = _policy_suite_numbers(policies, size, benchmarks)
+    numbers = sweep_policies(policies, benchmarks, size)
     rows = []
     for name in benchmarks:
         row = [name]
@@ -338,7 +292,7 @@ def build_figure9(size: str = "small",
     benchmarks = list(benchmarks or default_benchmarks())
     policies = ("full", "smarts", "simpoint", "simpoint+prof",
                 "CPU-300-1M-inf")
-    numbers = _policy_suite_numbers(policies, size, benchmarks)
+    numbers = sweep_policies(policies, benchmarks, size)
     rows = []
     for name in benchmarks:
         row = [name]

@@ -4,9 +4,11 @@ The paper's SimPoint timing results presume checkpoint restore (its
 per-benchmark times are proportional to the number of simulation points,
 not to program length), and TurboSMARTS — cited in related work — builds
 SMARTS entirely on checkpoints.  This module provides the primitive: a
-snapshot of a running :class:`~repro.kernel.system.System` (CPU state,
-physical memory, page tables, kernel bookkeeping, devices) that can be
-restored onto the same system later, resuming execution bit-identically.
+snapshot of a running :class:`~repro.kernel.system.System` (one CPU
+snapshot per hart, physical memory, page tables, kernel bookkeeping,
+devices) that can be restored onto the same system later, resuming
+execution bit-identically.  A guest of one hart is the case N = 1: the
+layout is the same for any hart count.
 
 Snapshots are *delta* snapshots: every frame is identified by its
 content hash, and ``take(system, parent=...)`` stores blob bytes only
@@ -30,10 +32,13 @@ from __future__ import annotations
 import copy
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from .system import System
 
 
-def _hash_frame(data) -> str:
+def _hash_frame(data: bytes) -> str:
     return hashlib.sha256(bytes(data)).hexdigest()
 
 
@@ -47,27 +52,18 @@ class Checkpoint:
     :meth:`resolve_blob` walks the chain on demand.
     """
 
-    cpu: dict
     frame_hashes: Dict[int, str]
     blobs: Dict[str, bytes]
     next_free_frame: int
     page_table: Dict[int, Tuple[int, int]]
-    stats: dict
-    profile_counts: Dict[int, int]
-    pending_irqs: List[int]
-    fast_cache: List[int]
+    #: one snapshot per hart, in core order, with keys ``cpu``,
+    #: ``stats``, ``profile_counts``, ``pending_irqs`` and ``fast_cache``
+    cores: List[dict]
     kernel: dict
     console: dict
     disk: dict
     timer: dict
     nic: dict
-    #: per-core snapshots for SMP guests — one dict per hart with keys
-    #: ``cpu``/``stats``/``profile_counts``/``pending_irqs``/
-    #: ``fast_cache``; ``None`` for single-core checkpoints (the
-    #: top-level fields then hold the sole core's state, keeping the
-    #: format backward compatible).  For SMP, the top-level fields
-    #: mirror core 0.
-    cores: Optional[List[dict]] = None
     parent: Optional["Checkpoint"] = field(default=None, repr=False,
                                            compare=False)
     #: write epoch closed when this checkpoint was taken/restored, valid
@@ -112,7 +108,8 @@ class Checkpoint:
         return sum(len(blob) for blob in self.blobs.values())
 
 
-def take(system, parent: Optional[Checkpoint] = None) -> Checkpoint:
+def take(system: "System", parent: Optional[Checkpoint] = None
+         ) -> Checkpoint:
     """Snapshot ``system`` (a :class:`repro.kernel.system.System`).
 
     With ``parent`` (an earlier checkpoint of the *same live system*,
@@ -126,14 +123,12 @@ def take(system, parent: Optional[Checkpoint] = None) -> Checkpoint:
     machine = system.machine
     phys = machine.phys
     kernel = system.kernel
-    #: SMP guests expose per-hart machines; single-core machines stand
-    #: for themselves.  The shared frames are scanned once either way.
-    harts = getattr(machine, "cores", None)
-    primary = harts[0] if harts else machine
+    harts = machine.cores
 
     # Clean-frame shortcut is only sound against the same live memory
     # the parent's epoch was recorded on; content-hash dedup below
     # works against any parent chain (including store-loaded ones).
+    # The frames are shared by every hart and scanned once.
     same_phys = parent is not None and parent.phys_token == id(phys)
 
     frame_hashes: Dict[int, str] = {}
@@ -149,32 +144,23 @@ def take(system, parent: Optional[Checkpoint] = None) -> Checkpoint:
                                         and parent.has_blob(digest)):
             blobs[digest] = bytes(data)
 
-    cores_field = None
-    if harts:
-        cores_field = [{
+    checkpoint = Checkpoint(
+        frame_hashes=frame_hashes,
+        blobs=blobs,
+        next_free_frame=phys.next_free,
+        page_table=machine.page_table.snapshot(),
+        cores=[{
             "cpu": hart.state.snapshot(),
             "stats": copy.deepcopy(vars(hart.stats)),
             "profile_counts": dict(hart.profile_counts),
             "pending_irqs": list(hart._pending_irqs),
             "fast_cache": hart.snapshot_code_cache(),
-        } for hart in harts]
-
-    checkpoint = Checkpoint(
-        cpu=primary.state.snapshot(),
-        frame_hashes=frame_hashes,
-        blobs=blobs,
-        next_free_frame=phys.next_free,
-        page_table=machine.page_table.snapshot(),
-        stats=copy.deepcopy(vars(primary.stats)),
-        profile_counts=dict(primary.profile_counts),
-        pending_irqs=list(primary._pending_irqs),
-        fast_cache=primary.snapshot_code_cache(),
+        } for hart in harts],
         kernel=kernel.snapshot(),
         console=system.console.snapshot(),
         disk=system.disk.snapshot(),
         timer=system.timer.snapshot(),
         nic=system.nic.snapshot(),
-        cores=cores_field,
         parent=parent,
     )
     # Close the epoch *after* scanning: frames written from here on are
@@ -184,30 +170,23 @@ def take(system, parent: Optional[Checkpoint] = None) -> Checkpoint:
     # generations are shared, the write caches are not.
     checkpoint.phys_token = id(phys)
     checkpoint.phys_epoch = phys.begin_write_epoch()
-    for hart in (harts or (machine,)):
+    for hart in harts:
         hart.mmu.drop_write_cache()
     return checkpoint
 
 
-def restore(system, checkpoint: Checkpoint) -> None:
+def restore(system: "System", checkpoint: Checkpoint) -> None:
     """Restore ``checkpoint`` onto ``system`` (created from the same
-    program); execution resumes exactly where the snapshot was taken."""
+    program, with as many harts); execution resumes exactly where the
+    snapshot was taken."""
     machine = system.machine
     phys = machine.phys
     kernel = system.kernel
-    harts = getattr(machine, "cores", None)
-    if harts is not None:
-        snaps = checkpoint.cores
-        if snaps is None or len(snaps) != len(harts):
-            raise ValueError(
-                f"checkpoint holds {len(checkpoint.cores or [])} core "
-                f"snapshot(s), machine has {len(harts)} core(s)")
-        pairs = list(zip(harts, snaps))
-    else:
-        if checkpoint.cores is not None and len(checkpoint.cores) != 1:
-            raise ValueError("multi-core checkpoint restored onto a "
-                             "single-core machine")
-        pairs = [(machine, None)]
+    harts = machine.cores
+    if len(checkpoint.cores) != len(harts):
+        raise ValueError(
+            f"checkpoint holds {len(checkpoint.cores)} core "
+            f"snapshot(s), machine has {len(harts)} core(s)")
 
     # Stash the resident fast-cache blocks before flushing: a block
     # whose code pages come through the restore with identical mapping
@@ -217,7 +196,7 @@ def restore(system, checkpoint: Checkpoint) -> None:
     # its architectural fast cache.
     stashes = [{pc: hart.fast_cache.get(pc)
                 for pc in hart.fast_cache.blocks()}
-               for hart, _snap in pairs]
+               for hart in harts]
     old_mapping = machine.page_table.snapshot()
 
     # guest memory + page table (public hooks)
@@ -251,26 +230,20 @@ def restore(system, checkpoint: Checkpoint) -> None:
     # counts are erased and the monitored statistics resume exactly as
     # saved (the rebuild re-translations are already included in the
     # saved counters).
-    for hart, _snap in pairs:
+    for hart in harts:
         hart.mmu.flush()
-    pairs[0][0].mmu.code_pages.clear()  # shared across harts
+    harts[0].mmu.code_pages.clear()  # shared across harts
     machine.flush_code_caches()
 
     # CPU + per-core machine bookkeeping
-    for (hart, snap), reuse in zip(pairs, reuses):
-        hart.state.restore(snap["cpu"] if snap else checkpoint.cpu)
-        hart.rebuild_code_cache(
-            snap["fast_cache"] if snap else checkpoint.fast_cache,
-            reuse=reuse)
-        stats = snap["stats"] if snap else checkpoint.stats
-        for key, value in copy.deepcopy(stats).items():
+    for hart, snap, reuse in zip(harts, checkpoint.cores, reuses):
+        hart.state.restore(snap["cpu"])
+        hart.rebuild_code_cache(snap["fast_cache"], reuse=reuse)
+        for key, value in copy.deepcopy(snap["stats"]).items():
             setattr(hart.stats, key, value)
         hart.profile_counts.clear()
-        hart.profile_counts.update(
-            snap["profile_counts"] if snap
-            else checkpoint.profile_counts)
-        hart._pending_irqs[:] = (snap["pending_irqs"] if snap
-                                 else checkpoint.pending_irqs)
+        hart.profile_counts.update(snap["profile_counts"])
+        hart._pending_irqs[:] = snap["pending_irqs"]
 
     # kernel + devices (public hooks)
     kernel.restore(checkpoint.kernel)
@@ -284,5 +257,5 @@ def restore(system, checkpoint: Checkpoint) -> None:
     # was marked at the current epoch by phys.restore; close it).
     checkpoint.phys_token = id(phys)
     checkpoint.phys_epoch = phys.begin_write_epoch()
-    for hart, _snap in pairs:
+    for hart in harts:
         hart.mmu.drop_write_cache()

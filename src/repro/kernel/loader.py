@@ -1,20 +1,23 @@
-"""Program loader: installs an assembled program into a machine.
-
-Lays out the classic process image:
+"""Program loader: installs an assembled program into a guest of one
+hart or N, laying out the classic process image once:
 
 * program segments at their assembled addresses (mapped RWX so data and
   code may share pages; self-modifying stores are still caught through
   the translation-cache page registry),
 * a demand-paged heap immediately after the highest segment,
-* a demand-paged downward-growing stack below ``STACK_TOP``.
+* a demand-paged page of process globals at ``GLOBALS_BASE``,
+* one demand-paged downward-growing stack per hart below ``STACK_TOP``.
 """
 
 from __future__ import annotations
+
+from typing import Union
 
 from repro.isa import Program
 from repro.mem import PAGE_MASK, PAGE_SHIFT, PAGE_SIZE, PROT_RWX
 from repro.isa.registers import GP, S3, SP
 from repro.vm.machine import Machine
+from repro.vm.smp import SmpMachine
 
 from .syscalls import Kernel
 
@@ -27,51 +30,19 @@ DEFAULT_HEAP_SIZE = 0  # grows via brk
 GLOBALS_BASE = 0x3000_0000
 
 
-def load_program(machine: Machine, kernel: Kernel, program: Program,
-                 stack_top: int = STACK_TOP,
+def load_program(machine: Union[Machine, SmpMachine], kernel: Kernel,
+                 program: Program, stack_top: int = STACK_TOP,
                  stack_size: int = STACK_SIZE) -> None:
-    """Map and copy ``program``, set up heap/stack and entry state."""
-    highest = 0
-    for segment in program.segments:
-        first = segment.base >> PAGE_SHIFT
-        last = (segment.end - 1) >> PAGE_SHIFT if segment.data else first
-        for vpn in range(first, last + 1):
-            if machine.page_table.lookup(vpn) is None:
-                machine.page_table.map(vpn, machine.phys.alloc_frame(),
-                                       PROT_RWX)
-        machine.mmu.write_block(segment.base, bytes(segment.data))
-        highest = max(highest, segment.end)
+    """Map and copy ``program``, set up heap, globals and stacks, and
+    start every hart of ``machine`` at the entry point.
 
-    heap_base = (highest + PAGE_MASK) & ~PAGE_MASK
-    kernel.set_heap(heap_base, DEFAULT_HEAP_SIZE)
-    kernel.add_region(stack_top - stack_size, stack_size)
-    kernel.add_region(GLOBALS_BASE, PAGE_SIZE)
-
-    state = machine.state
-    state.reset(pc=program.entry)
-    # Stack pointer starts 16-byte aligned just below the top page edge.
-    state.regs[SP] = (stack_top - 16) & ~0xF
-    machine.kernel = kernel
-
-
-def load_program_smp(machine, kernel: Kernel, program: Program,
-                     stack_top: int = STACK_TOP,
-                     stack_size: int = STACK_SIZE) -> None:
-    """Map ``program`` once into an SMP guest's shared address space
-    and start every hart at the entry point.
-
-    Boot convention (documented for workload authors):
-
-    * all harts start at ``program.entry`` with ``gp`` (r13) holding
-      the hart id and ``s3`` (r12) holding the total core count — the
-      program branches on ``gp`` to split work;
-    * each hart gets its own demand-paged stack: hart ``i``'s stack
-      top sits ``i * (stack_size + one guard page)`` below
-      ``stack_top``, so stacks can never silently run into each other;
-    * segments, heap and the globals page are shared (mapped once in
-      the shared page table).
+    Boot convention (documented for workload authors): hart ``i``'s
+    stack top sits ``i * (stack_size + one guard page)`` below
+    ``stack_top``, so stacks never silently run into each other; on an
+    :class:`~repro.vm.smp.SmpMachine`, ``gp`` (r13) holds the hart id
+    and ``s3`` (r12) the core count — the program branches on ``gp``
+    to split work.  A plain machine's entry registers stay zero.
     """
-    core0 = machine.cores[0]
     highest = 0
     for segment in program.segments:
         first = segment.base >> PAGE_SHIFT
@@ -80,19 +51,22 @@ def load_program_smp(machine, kernel: Kernel, program: Program,
             if machine.page_table.lookup(vpn) is None:
                 machine.page_table.map(vpn, machine.phys.alloc_frame(),
                                        PROT_RWX)
-        core0.mmu.write_block(segment.base, bytes(segment.data))
+        machine.cores[0].mmu.write_block(segment.base, bytes(segment.data))
         highest = max(highest, segment.end)
 
     heap_base = (highest + PAGE_MASK) & ~PAGE_MASK
     kernel.set_heap(heap_base, DEFAULT_HEAP_SIZE)
     kernel.add_region(GLOBALS_BASE, PAGE_SIZE)
 
-    for index, core in enumerate(machine.cores):
+    smp = isinstance(machine, SmpMachine)
+    for index, hart in enumerate(machine.cores):
         top = stack_top - index * (stack_size + PAGE_SIZE)
         kernel.add_region(top - stack_size, stack_size)
-        state = core.state
+        state = hart.state
         state.reset(pc=program.entry)
+        # Stack pointer starts 16-byte aligned just below the top page edge.
         state.regs[SP] = (top - 16) & ~0xF
-        state.regs[GP] = index
-        state.regs[S3] = machine.n_cores
+        if smp:
+            state.regs[GP] = index
+            state.regs[S3] = len(machine.cores)
     machine.kernel = kernel

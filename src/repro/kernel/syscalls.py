@@ -302,11 +302,10 @@ class Kernel:
         # The page table is shared across an SMP guest, so unmapping
         # must invalidate every hart's TLB and translation caches — not
         # just the trapping core's.
-        harts = machine.smp_peers or (machine,)
         for vpn in range(first, last + 1):
             if machine.page_table.lookup(vpn) is not None:
                 machine.page_table.unmap(vpn)
-                for hart in harts:
+                for hart in machine.cores:
                     hart.mmu.invalidate_page(vpn)
                     hart.invalidate_code_page(vpn)
         return 0

@@ -14,7 +14,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Any, Callable, Optional, Union
 
 from repro.devices import (BlockDevice, Bus, ConsoleDevice, NicDevice,
                            TimerDevice)
@@ -23,7 +23,7 @@ from repro.mem import PAGE_SHIFT, PROT_DEVICE, PROT_RW
 from repro.vm.machine import Machine
 from repro.vm.smp import DEFAULT_QUANTUM, SmpMachine
 
-from .loader import load_program, load_program_smp
+from .loader import load_program
 from .syscalls import Kernel
 
 #: MMIO window bases (one page each)
@@ -37,17 +37,17 @@ NIC_BASE = 0xF000_3000
 class System:
     """A booted guest system with convenient device handles."""
 
-    machine: Machine
+    machine: Union[Machine, SmpMachine]
     kernel: Kernel
     console: ConsoleDevice
     disk: BlockDevice
     timer: TimerDevice
     nic: NicDevice
 
-    def run(self, max_instructions: int, **kwargs) -> int:
+    def run(self, max_instructions: int, **kwargs: Any) -> int:
         return self.machine.run(max_instructions, **kwargs)
 
-    def run_to_completion(self, **kwargs) -> int:
+    def run_to_completion(self, **kwargs: Any) -> int:
         return self.machine.run_to_completion(**kwargs)
 
     @property
@@ -64,63 +64,28 @@ def boot(program: Optional[Program] = None,
          code_cache_capacity: int = 512,
          code_cache_policy: str = "fifo",
          tlb_capacity: int = 256,
-         nic_peer=None) -> System:
-    """Create a machine with the standard device set and load a program."""
-    machine = Machine(phys_size=phys_size,
-                      code_cache_capacity=code_cache_capacity,
-                      code_cache_policy=code_cache_policy,
-                      tlb_capacity=tlb_capacity)
-    bus = Bus(stats=machine.stats)
-    machine.attach_bus(bus)
+         nic_peer: Optional[Callable[[bytes], Optional[bytes]]] = None,
+         n_cores: Optional[int] = None,
+         smp_quantum: int = DEFAULT_QUANTUM) -> System:
+    """Create a machine with the standard device set and load a program.
 
-    console = ConsoleDevice()
-    disk = BlockDevice()
-    timer = TimerDevice(machine)
-    nic = NicDevice(peer=nic_peer)
-    for device, base in ((console, CONSOLE_BASE), (disk, BLOCK_BASE),
-                         (timer, TIMER_BASE), (nic, NIC_BASE)):
-        bus.attach(device, base)
-        machine.page_table.map(base >> PAGE_SHIFT, 0,
-                               PROT_RW | PROT_DEVICE)
-
-    kernel = Kernel(console=console, disk=disk, nic=nic, timer=timer)
-    machine.kernel = kernel
-    if program is not None:
-        load_program(machine, kernel, program)
-    return System(machine=machine, kernel=kernel, console=console,
-                  disk=disk, timer=timer, nic=nic)
-
-
-@dataclass
-class SmpSystem(System):
-    """A booted multi-core guest (``machine`` is an
-    :class:`~repro.vm.smp.SmpMachine`)."""
-
-    @property
-    def cores(self):
-        return self.machine.cores
-
-
-def boot_smp(program: Optional[Program] = None,
-             n_cores: int = 2,
-             phys_size: int = 64 * 1024 * 1024,
-             code_cache_capacity: int = 512,
-             code_cache_policy: str = "fifo",
-             tlb_capacity: int = 256,
-             nic_peer=None,
-             smp_quantum: int = DEFAULT_QUANTUM) -> SmpSystem:
-    """Boot an ``n_cores``-hart guest with the standard device set.
-
-    Devices are mapped once in the shared page table and reachable from
-    every hart; the timer interrupt targets core 0 (the conventional
-    boot hart).  See :func:`~repro.kernel.loader.load_program_smp` for
-    the per-hart entry convention.
+    ``n_cores=None`` boots the plain one-hart :class:`Machine`; an
+    integer boots an :class:`SmpMachine` with that many harts.  Devices
+    are mapped once in the shared page table; bus statistics and the
+    timer interrupt go to hart 0 (the conventional boot hart).
     """
-    machine = SmpMachine(n_cores=n_cores, phys_size=phys_size,
-                         code_cache_capacity=code_cache_capacity,
-                         code_cache_policy=code_cache_policy,
-                         tlb_capacity=tlb_capacity,
-                         quantum=smp_quantum)
+    machine: Union[Machine, SmpMachine]
+    if n_cores is None:
+        machine = Machine(phys_size=phys_size,
+                          code_cache_capacity=code_cache_capacity,
+                          code_cache_policy=code_cache_policy,
+                          tlb_capacity=tlb_capacity)
+    else:
+        machine = SmpMachine(n_cores=n_cores, phys_size=phys_size,
+                             code_cache_capacity=code_cache_capacity,
+                             code_cache_policy=code_cache_policy,
+                             tlb_capacity=tlb_capacity,
+                             quantum=smp_quantum)
     bus = Bus(stats=machine.cores[0].stats)
     machine.attach_bus(bus)
 
@@ -137,6 +102,6 @@ def boot_smp(program: Optional[Program] = None,
     kernel = Kernel(console=console, disk=disk, nic=nic, timer=timer)
     machine.kernel = kernel
     if program is not None:
-        load_program_smp(machine, kernel, program)
-    return SmpSystem(machine=machine, kernel=kernel, console=console,
-                     disk=disk, timer=timer, nic=nic)
+        load_program(machine, kernel, program)
+    return System(machine=machine, kernel=kernel, console=console,
+                  disk=disk, timer=timer, nic=nic)

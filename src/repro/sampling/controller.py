@@ -105,9 +105,8 @@ class SimulationController:
         self.machine_kwargs = dict(machine_kwargs or {})
         self.system: System = workload.boot(**self.machine_kwargs)
         self.machine = self.system.machine
-        #: the guest's harts: an SMP machine's cores, else the machine
-        self.harts: Tuple[Machine, ...] = tuple(
-            getattr(self.machine, "cores", (self.machine,)))
+        #: the guest's harts (a plain machine's is itself alone)
+        self.harts: Tuple[Machine, ...] = tuple(self.machine.cores)
         self.n_cores = len(self.harts)
         self.timing_config = timing_config or TimingConfig.small()
         self.timing_cores: Tuple[OutOfOrderCore, ...] = tuple(

@@ -3,10 +3,10 @@
 :class:`~repro.sampling.controller.SimulationController` drives one
 hart or N itself — :meth:`~repro.workloads.dsl.Workload.boot` picks
 the machine kind.  :func:`make_controller` is the seam the exec worker
-and harness go through: it folds a parallel workload's default core
-count into the machine kwargs (so replica passes, fingerprints and
-store keys see it) and returns :class:`SmpSimulationController` for
-per-hart guests.
+and harness go through: it folds the hart count
+:func:`~repro.workloads.dsl.smp_cores` decides into the machine kwargs
+(so replica passes, fingerprints and store keys see it) and returns
+:class:`SmpSimulationController` for per-hart guests.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Optional
 
 from repro import obs
 from repro.timing import TimingConfig
-from repro.workloads import Workload
+from repro.workloads import Workload, smp_cores
 
 from .controller import SimulationController
 
@@ -41,18 +41,17 @@ def make_controller(workload: Workload,
                     ) -> SimulationController:
     """Build the controller for ``workload``.
 
-    A workload boots multi-core when the machine kwargs request
-    ``n_cores > 1`` or the workload is inherently parallel (its default
-    core count then applies); those runs get
-    :class:`SmpSimulationController`, everything else the plain class.
+    When :func:`~repro.workloads.dsl.smp_cores` boots the workload
+    multi-core, its hart count goes into the machine kwargs and the
+    run gets :class:`SmpSimulationController`; everything else gets
+    the plain class.
     """
     kwargs = dict(machine_kwargs or {})
-    n_cores = int(kwargs.get("n_cores", 0) or 0)
-    if n_cores == 0 and getattr(workload, "parallel", False):
-        n_cores = max(1, getattr(workload, "n_cores", 1))
+    n_cores = smp_cores(workload.parallel, workload.n_cores,
+                        int(kwargs.get("n_cores", 0) or 0))
+    cls = SimulationController
+    if n_cores is not None:
         kwargs["n_cores"] = n_cores
-    cls = (SmpSimulationController
-           if n_cores > 1 or getattr(workload, "parallel", False)
-           else SimulationController)
+        cls = SmpSimulationController
     return cls(workload, timing_config=timing_config,
                machine_kwargs=kwargs, feedback=feedback, tracer=tracer)

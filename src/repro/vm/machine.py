@@ -22,7 +22,7 @@ cache invalidations (CPU), guest exceptions (EXC) and I/O operations
 from __future__ import annotations
 
 import os
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from repro.mem import (MMU, PageTable, PhysicalMemory)
 from repro.mem.faults import (AlignmentFault, BreakpointTrap, GuestFault,
@@ -96,10 +96,10 @@ class Machine:
                            else PageTable())
         #: hart index within an SMP guest (0 for a single-core machine)
         self.core_id = core_id
-        #: all harts of the owning SMP guest (None = single-core); set
-        #: by repro.vm.smp so kernel-side invalidation reaches per-core
-        #: TLBs and translation caches
-        self.smp_peers = None
+        #: the guest's harts, in core order: this machine alone, or
+        #: the owning SMP guest's list (set by repro.vm.smp) so kernel
+        #: invalidation and checkpoints reach every hart
+        self.cores: Sequence[Machine] = (self,)
         self.bus = bus
         self.stats = VmStats()
         self.mmu = MMU(self.phys, self.page_table, bus=bus,

@@ -8,6 +8,10 @@ caches, translation caches (architectural fast cache, event cache,
 fused bindings), interpreter decode caches, BBV profile counts and
 :class:`~repro.vm.stats.VmStats` monitors.
 
+Every hart's ``cores`` is the guest's hart list (a plain
+:class:`~repro.vm.machine.Machine`'s is ``(self,)``), so code that
+walks ``machine.cores`` treats one hart as the case N = 1.
+
 Interleaving contract (determinism)
 -----------------------------------
 
@@ -43,12 +47,17 @@ Cross-core coupling
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Set
+from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Set
 
 from repro.mem import PageTable, PhysicalMemory
 
 from .machine import MODE_FAST, Machine
+from .state import CpuState
 from .translator import MAX_BLOCK
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.devices.bus import Bus
+    from repro.kernel.syscalls import Kernel
 
 __all__ = ["DEFAULT_QUANTUM", "SmpMachine"]
 
@@ -83,7 +92,7 @@ class SmpMachine:
         self.quantum = quantum
         self.phys = PhysicalMemory(phys_size)
         self.page_table = PageTable()
-        self.bus = None
+        self.bus: Optional["Bus"] = None
         self.cores: List[Machine] = [
             Machine(code_cache_capacity=code_cache_capacity,
                     code_cache_policy=code_cache_policy,
@@ -99,25 +108,25 @@ class SmpMachine:
         shared_code_pages: Set[int] = set()
         mmus = tuple(core.mmu for core in self.cores)
         for core in self.cores:
-            core.smp_peers = self.cores
+            core.cores = self.cores
             core.mmu.link_code_page_peers(mmus, shared_code_pages)
             core.mmu.code_write_hook = self._on_code_write
 
     # ------------------------------------------------------------------
     # wiring
 
-    def attach_bus(self, bus) -> None:
+    def attach_bus(self, bus: "Bus") -> None:
         """Attach the shared device bus to every core."""
         self.bus = bus
         for core in self.cores:
             core.attach_bus(bus)
 
     @property
-    def kernel(self):
+    def kernel(self) -> Optional["Kernel"]:
         return self.cores[0].kernel
 
     @kernel.setter
-    def kernel(self, kernel) -> None:
+    def kernel(self, kernel: Optional["Kernel"]) -> None:
         for core in self.cores:
             core.kernel = kernel
 
@@ -136,7 +145,7 @@ class SmpMachine:
     # aggregate state
 
     @property
-    def state(self):
+    def state(self) -> CpuState:
         """Core 0's CPU state (exit code, convenience accessors)."""
         return self.cores[0].state
 
@@ -183,7 +192,7 @@ class SmpMachine:
     # ------------------------------------------------------------------
     # execution
 
-    def _per_core_sinks(self, sink) -> Sequence:
+    def _per_core_sinks(self, sink: Any) -> Sequence[Any]:
         """Normalize ``sink`` to one sink per core.
 
         Event-mode callers pass a sequence of per-core sinks (each
@@ -202,7 +211,7 @@ class SmpMachine:
         return (sink,) * self.n_cores
 
     def run(self, max_instructions: int, mode: str = MODE_FAST,
-            sink=None) -> int:
+            sink: Any = None) -> int:
         """Execute up to ``max_instructions`` *total* instructions,
         dispensed round-robin across live cores in fixed quanta.
 
@@ -238,7 +247,7 @@ class SmpMachine:
                 break
         return total
 
-    def run_to_completion(self, mode: str = MODE_FAST, sink=None,
+    def run_to_completion(self, mode: str = MODE_FAST, sink: Any = None,
                           limit: int = 10**12,
                           chunk: int = 1 << 24) -> int:
         """Run until every core halts (or ``limit`` total instructions)."""
@@ -250,20 +259,3 @@ class SmpMachine:
                 break
             total += executed
         return total
-
-    # ------------------------------------------------------------------
-    # profiling
-
-    def take_profile_counts(self) -> Dict[int, int]:
-        """Merge and reset per-core BBV profile counts.
-
-        Cores executing the same block both contribute to its count —
-        the BBV describes what the *chip* executed, which is what
-        SimPoint clusters over.
-        """
-        merged: Dict[int, int] = {}
-        for core in self.cores:
-            for pc, count in core.profile_counts.items():
-                merged[pc] = merged.get(pc, 0) + count
-            core.profile_counts.clear()
-        return merged

@@ -1,6 +1,6 @@
 """Synthetic SPEC CPU2000-like workloads and the construction DSL."""
 
-from .dsl import PhaseInfo, Workload, WorkloadBuilder
+from .dsl import PhaseInfo, Workload, WorkloadBuilder, smp_cores
 from .kernels import KERNELS
 from .parallel import (DEFAULT_PARALLEL_CORES, PARALLEL_BENCHMARKS,
                        PARALLEL_DESCRIPTIONS, build_parallel)
@@ -13,7 +13,7 @@ from .suite import (SUITE_MACHINE_KWARGS, benchmark_names,
                     parallel_benchmark_names, scale_sizes)
 
 __all__ = [
-    "PhaseInfo", "Workload", "WorkloadBuilder",
+    "PhaseInfo", "Workload", "WorkloadBuilder", "smp_cores",
     "KERNELS",
     "DEFAULT_PARALLEL_CORES", "PARALLEL_BENCHMARKS",
     "PARALLEL_DESCRIPTIONS", "build_parallel",

@@ -23,15 +23,27 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.isa import Program, assemble
-from repro.kernel import System, boot, boot_smp
+from repro.kernel import System, boot
 
 from .kernels import KERNELS, SLOTTED_KERNELS
 
 #: default load address for workload programs
 PROGRAM_BASE = 0x10000
+
+
+def smp_cores(parallel: bool, default_cores: int,
+              requested: int) -> Optional[int]:
+    """The hart count a guest boots with (``None``: the plain machine).
+
+    A parallel workload always boots SMP, at ``default_cores`` when 0
+    harts are requested; a sequential one only on more than one hart.
+    """
+    if parallel:
+        return requested or max(1, default_cores)
+    return requested if requested > 1 else None
 
 
 @dataclass
@@ -64,26 +76,15 @@ class Workload:
     def estimated_instructions(self) -> int:
         return sum(phase.estimated_instructions for phase in self.phases)
 
-    def boot(self, **kwargs) -> System:
+    def boot(self, **kwargs: Any) -> System:
         """Boot a fresh system running this workload (deterministic).
 
-        ``n_cores`` in ``kwargs`` (or the workload being parallel)
-        routes to :func:`repro.kernel.boot_smp`; plain workloads keep
-        the original single-core boot path bit-for-bit.
+        :func:`smp_cores` turns ``n_cores`` in ``kwargs`` (default 0)
+        into the hart count :func:`repro.kernel.boot` gets.
         """
-        n_cores = int(kwargs.pop("n_cores", 0) or 0)
-        if n_cores == 0 and self.parallel:
-            n_cores = max(1, self.n_cores)
-        if n_cores > 1 or (n_cores == 1 and self.parallel):
-            return boot_smp(self.program, n_cores=max(1, n_cores),
-                            **kwargs)
-        return boot(self.program, **kwargs)
-
-    def run_fast(self, **kwargs) -> int:
-        """Convenience: run to completion in fast mode, return icount."""
-        system = self.boot(**kwargs)
-        system.run_to_completion()
-        return system.machine.state.icount
+        requested = int(kwargs.pop("n_cores", 0) or 0)
+        return boot(self.program, n_cores=smp_cores(
+            self.parallel, self.n_cores, requested), **kwargs)
 
 
 class WorkloadBuilder:

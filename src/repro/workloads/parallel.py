@@ -1,8 +1,8 @@
 """Multi-threaded guest workloads (SMP benchmarks).
 
 Three classic sharing patterns, written against the SMP boot convention
-(:func:`repro.kernel.load_program_smp`: every hart enters at ``_start``
-with its core id in ``gp`` and the core count in ``s3``):
+(:func:`repro.kernel.load_program` on an SMP guest: every hart enters at
+``_start`` with its core id in ``gp`` and the core count in ``s3``):
 
 =============== ====================================================
 ``pcq``         single-producer queue with per-item ready flags;

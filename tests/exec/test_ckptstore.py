@@ -62,11 +62,9 @@ def test_publish_load_round_trip_is_bit_identical(tmp_path):
     fresh = CheckpointStore(tmp_path / "ckpt")
     loaded = fresh.load_checkpoint("prog", "cfg", "aa")
     assert loaded is not None
-    assert loaded.cpu == checkpoint.cpu
+    assert loaded.cores == checkpoint.cores
     assert loaded.frames == checkpoint.frames
     assert loaded.page_table == checkpoint.page_table
-    assert loaded.stats == checkpoint.stats
-    assert loaded.fast_cache == checkpoint.fast_cache
     assert loaded.kernel == checkpoint.kernel
     assert loaded.console == checkpoint.console
     assert loaded.disk == checkpoint.disk
@@ -183,7 +181,7 @@ def test_ladder_publish_and_load(tmp_path):
     loaded = CheckpointLadder(CheckpointStore(tmp_path / "ckpt"),
                               "prog", "cfg").load(key)
     assert loaded is not None
-    assert loaded.cpu == published.cpu
+    assert loaded.cores == published.cores
     assert ladder.rungs() == [key]
 
 

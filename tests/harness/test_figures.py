@@ -43,8 +43,8 @@ def test_figure4_phase_detection():
 
 
 def test_policy_suite_numbers_shapes():
-    numbers = figures._policy_suite_numbers(
-        ("full", "EXC-300-1M-10"), "tiny", ["gzip", "mcf"])
+    numbers = figures.sweep_policies(
+        ("full", "EXC-300-1M-10"), ["gzip", "mcf"], "tiny")
     assert numbers["full"]["speedup"] == 1.0
     policy = numbers["EXC-300-1M-10"]
     assert policy["speedup"] > 1.0

@@ -64,7 +64,7 @@ def test_checkpoint_is_independent_of_later_execution():
     assert checkpoint.memory_bytes == memory_before
     restore(system, checkpoint)
     again = take(system)
-    assert again.cpu == checkpoint.cpu
+    assert again.cores == checkpoint.cores
     assert again.frames == checkpoint.frames
 
 
@@ -94,3 +94,43 @@ def test_checkpoint_captures_devices():
     system.run_to_completion()
     checkpoint = take(system)
     assert checkpoint.console["output"] == b"abc"
+
+
+def test_one_hart_guest_uses_the_per_hart_layout(tmp_path):
+    from repro.exec.ckptstore import CheckpointStore, encode_manifest
+    system = build_system().boot()
+    system.run(20_000)
+    machine = system.machine
+    assert machine.cores == (machine,)
+
+    checkpoint = take(system)
+    assert len(checkpoint.cores) == 1
+    assert checkpoint.cores[0]["cpu"] == machine.state.snapshot()
+
+    manifest = encode_manifest(checkpoint)
+    assert len(manifest["cores"]) == 1
+    assert not {"cpu", "stats", "profile_counts", "pending_irqs",
+                "fast_cache"} & set(manifest)
+
+    CheckpointStore(tmp_path).publish_checkpoint("prog", "cfg", "aa",
+                                                 checkpoint)
+    loaded = CheckpointStore(tmp_path).load_checkpoint("prog", "cfg", "aa")
+    assert loaded.cores == checkpoint.cores
+
+
+def test_boot_gives_smp_harts_their_ids_and_stacks():
+    from repro.isa.registers import GP, S3, SP
+    program = assemble("halt")
+    plain = boot(program).machine
+    # the hart-id ABI is SMP-only: a plain guest's entry registers stay 0
+    assert plain.state.regs[GP] == plain.state.regs[S3] == 0
+
+    machine = boot(program, n_cores=3).machine
+    harts = machine.cores
+    assert [hart.state.regs[GP] for hart in harts] == [0, 1, 2]
+    assert [hart.state.regs[S3] for hart in harts] == [3, 3, 3]
+    assert all(hart.state.pc == program.entry for hart in harts)
+    stacks = [hart.state.regs[SP] for hart in harts]
+    assert len(set(stacks)) == 3
+    assert stacks[0] == plain.state.regs[SP]
+    assert all(hart.cores is harts for hart in harts)

@@ -7,7 +7,7 @@ shared memory; these tests read it back after the run and verify it at
 
 import pytest
 
-from repro.kernel import GLOBALS_BASE, boot_smp
+from repro.kernel import GLOBALS_BASE
 from repro.workloads import (DEFAULT_PARALLEL_CORES, SUITE_MACHINE_KWARGS,
                              build_parallel, default_benchmark_cores,
                              is_parallel_benchmark, load_benchmark,
@@ -114,12 +114,12 @@ def test_load_benchmark_serves_parallel_suite():
 
 
 def test_parallel_boot_defaults_to_smp():
-    from repro.kernel.system import SmpSystem
+    from repro.vm.smp import SmpMachine
     workload = load_benchmark("lockcnt", size="tiny")
     system = workload.boot(**SUITE_MACHINE_KWARGS)
-    assert isinstance(system, SmpSystem)
+    assert isinstance(system.machine, SmpMachine)
     assert system.machine.n_cores == DEFAULT_PARALLEL_CORES
     # sequential workloads keep the single-core boot path
     plain = load_benchmark("gzip", size="tiny").boot(
         **SUITE_MACHINE_KWARGS)
-    assert not isinstance(plain, SmpSystem)
+    assert not isinstance(plain.machine, SmpMachine)
